@@ -16,14 +16,15 @@ import sys
 import time
 from dataclasses import asdict
 
-from .config import apply_overrides, from_dict, to_dict
+from .config import apply_overrides, from_dict
 from .checkpoint import load_checkpoint
-from .errors import ConfigError, DataError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, format_report, write_report
-from .pipeline import (ArmOptions, _load_eval_sets, build_context,
-                       generate_synthetic, load_entries, run_pipeline,
-                       run_stage1, run_stage2, run_stage3)
-from .synthlang import BenchmarkConfig, build_benchmark
+from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, build_context,
+                       generate_benchmark, generate_synthetic, load_entries,
+                       run_pipeline, run_stage1, run_stage2, run_stage3,
+                       save_resolved_config)
+from .synthlang import BenchmarkConfig
 
 ARMS = ("no-synthetic", "single-aux", "bt-only")
 
@@ -51,13 +52,6 @@ def _config(args):
     return from_dict(doc)
 
 
-def _snapshot(ctx):
-    with open(os.path.join(ctx.out_dir, "resolved_config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(to_dict(ctx.cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _finish(out_dir, command, started):
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump({"command": command, "started": started,
@@ -67,16 +61,34 @@ def _finish(out_dir, command, started):
 
 def _context(args):
     ctx = build_context(_config(args), args.out, quiet=args.quiet)
-    _snapshot(ctx)
+    save_resolved_config(ctx.cfg, ctx.out_dir)
     return ctx
 
 
-def _load_ckpt(ctx, path):
-    ck = load_checkpoint(path, expect_vocab_digest=ctx.vocab_digest)
+def _check_geometry(ctx, path, ck):
     geom = ck.meta.get("model")
     if geom and geom != asdict(ctx.model_cfg):
         raise DataError(f"{path}: checkpoint model geometry differs from the "
                         "config's; evaluate it with the config it was trained under")
+    return ck
+
+
+def _load_ckpt(ctx, path):
+    """A checkpoint to start from: only its vocabulary must match, because
+    chained commands may override per-stage settings."""
+    return _check_geometry(ctx, path, load_checkpoint(
+        path, expect_vocab_digest=ctx.vocab_digest))
+
+
+def _resume_ckpt(ctx, path, label):
+    """A mid-stage checkpoint to continue: it must come from stage `label`
+    run under the active config."""
+    ck = _check_geometry(ctx, path, load_checkpoint(
+        path, expect_vocab_digest=ctx.vocab_digest,
+        expect_config_digest=ctx.config_digest))
+    if ck.stage != STAGE_TAGS[label]:
+        raise CheckpointError(
+            f"{path}: a stage {ck.stage!r} checkpoint cannot resume {label}")
     return ck
 
 
@@ -113,20 +125,11 @@ def cmd_synth_data(args):
     os.makedirs(args.out, exist_ok=True)
     if cfg.manifest:
         print(f"config already names a manifest: {cfg.manifest}")
-        _finish(args.out, "synth-data", started)
-        return 0
-    bench = dict(cfg.benchmark)
-    bench.setdefault("seed", cfg.seed)
-    paths = build_benchmark(BenchmarkConfig(
-        out_dir=os.path.join(args.out, "benchmark"), **bench))
-    cfg.manifest = paths["manifest"]
-    cfg.testsets = paths["testsets"]
-    with open(os.path.join(args.out, "resolved_config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(to_dict(cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"manifest: {paths['manifest']}")
-    print(f"testsets: {paths['testsets']}")
+    else:
+        generate_benchmark(cfg, args.out)
+        save_resolved_config(cfg, args.out)
+        print(f"manifest: {cfg.manifest}")
+        print(f"testsets: {cfg.testsets}")
     _finish(args.out, "synth-data", started)
     return 0
 
@@ -144,7 +147,7 @@ def cmd_stage1(args):
     started = time.time()
     ctx = _context(args)
     if args.resume:
-        ck = _load_ckpt(ctx, args.resume)
+        ck = _resume_ckpt(ctx, args.resume, "stage1")
         final = run_stage1(ctx, ck.params, opt=ck.opt, start_step=ck.step)
     else:
         final = run_stage1(ctx)
@@ -171,7 +174,7 @@ def cmd_stage2(args):
     label = f"stage2{args.round}"
     entries = _synth_entries(ctx, args.round)
     if args.resume:
-        ck = _load_ckpt(ctx, args.resume)
+        ck = _resume_ckpt(ctx, args.resume, label)
         final = run_stage2(ctx, ck.params, label, entries,
                            opt=ck.opt, start_step=ck.step)
     else:

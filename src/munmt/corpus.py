@@ -29,7 +29,7 @@ class LanguageId:
 
 @dataclass
 class Dataset:
-    """One corpus: mono (items are TokenSeq id arrays) or parallel (pairs)."""
+    """One corpus: mono (items are int32 id arrays) or parallel (pairs of them)."""
 
     id: str
     kind: str  # "mono" | "parallel"
@@ -259,50 +259,45 @@ def save_manifest(path, languages, entries) -> None:
     os.replace(tmp, path)
 
 
-def build_registry(manifest_path, vocab: tok.Vocab, max_pieces: int = 88,
-                   extra_entries=None):
-    """Tokenize every corpus in the manifest (plus optional extra entries,
-    e.g. synthetic rounds) into Dataset objects, applying the length filter.
-    Empty lines are dropped at ingestion; for pairs, a pair is dropped when
-    either side is empty or over the length limit."""
+def _encode_kept(vocab: tok.Vocab, line: str, max_pieces: int):
+    """The piece ids of one corpus line, or None when the line is blank or
+    longer than `max_pieces` pieces."""
+    ids = tok.encode_line(vocab, line)
+    return ids if 0 < ids.size <= max_pieces else None
+
+
+def load_dataset(entry, root, vocab: tok.Vocab, max_pieces: int) -> Dataset:
+    """Read and tokenize one manifest entry, applying the length filter.
+    Relative paths resolve against `root`. Blank lines are dropped at
+    ingestion; a pair is dropped when either side is blank or too long."""
+    if entry["kind"] == "mono":
+        lines = read_lines(os.path.join(root, entry["path"]))
+        kept = (_encode_kept(vocab, line, max_pieces) for line in lines)
+        items = [ids for ids in kept if ids is not None]
+        ds = Dataset(entry["id"], "mono", lang=entry["lang"], items=items)
+    else:
+        src_lines = read_lines(os.path.join(root, entry["src_path"]))
+        tgt_lines = read_lines(os.path.join(root, entry["tgt_path"]))
+        if len(src_lines) != len(tgt_lines):
+            raise DataError(
+                f"parallel dataset {entry['id']} sides have different line counts"
+            )
+        items = []
+        for s, t in zip(src_lines, tgt_lines):
+            si = _encode_kept(vocab, s, max_pieces)
+            ti = _encode_kept(vocab, t, max_pieces)
+            if si is not None and ti is not None:
+                items.append((si, ti))
+        ds = Dataset(entry["id"], "parallel", src=entry["src"], tgt=entry["tgt"],
+                     synthetic=bool(entry.get("synthetic")), items=items)
+    if not ds.items:
+        raise DataError(f"dataset {entry['id']} is empty after filtering")
+    return ds
+
+
+def build_registry(manifest_path, vocab: tok.Vocab, max_pieces: int = 88):
+    """Tokenize every corpus in the manifest into Dataset objects (see
+    load_dataset). Returns (languages, datasets) in manifest order."""
     languages, entries = load_manifest(manifest_path)
     root = os.path.dirname(os.path.abspath(manifest_path))
-    datasets = []
-    all_entries = list(entries) + list(extra_entries or [])
-    for entry in all_entries:
-        if entry["kind"] == "mono":
-            lines = read_lines(os.path.join(root, entry["path"]))
-            items = []
-            for line in lines:
-                norm = tok.normalize(line)
-                if not norm:
-                    continue
-                ids = tok.encode(vocab, norm).ids
-                if len(ids) <= max_pieces:
-                    items.append(ids)
-            if not items:
-                raise DataError(f"dataset {entry['id']} is empty after filtering")
-            datasets.append(Dataset(entry["id"], "mono", lang=entry["lang"], items=items))
-        else:
-            src_lines = read_lines(os.path.join(root, entry["src_path"]))
-            tgt_lines = read_lines(os.path.join(root, entry["tgt_path"]))
-            if len(src_lines) != len(tgt_lines):
-                raise DataError(
-                    f"parallel dataset {entry['id']} sides have different line counts"
-                )
-            items = []
-            for s, t in zip(src_lines, tgt_lines):
-                ns, nt = tok.normalize(s), tok.normalize(t)
-                if not ns or not nt:
-                    continue
-                si = tok.encode(vocab, ns).ids
-                ti = tok.encode(vocab, nt).ids
-                if len(si) <= max_pieces and len(ti) <= max_pieces:
-                    items.append((si, ti))
-            if not items:
-                raise DataError(f"dataset {entry['id']} is empty after filtering")
-            datasets.append(
-                Dataset(entry["id"], "parallel", src=entry["src"], tgt=entry["tgt"],
-                        synthetic=bool(entry.get("synthetic")), items=items)
-            )
-    return languages, datasets
+    return languages, [load_dataset(e, root, vocab, max_pieces) for e in entries]

@@ -24,12 +24,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import checkpoint as ckpt_mod
+from .corpus import pad_block
 from .errors import ConfigError, DataError
 from .model import ModelConfig, greedy_decode_batch, strip_body
-from .tokenizer import PAD, Vocab, decode as piece_decode, encode as piece_encode
+from .tokenizer import Vocab, decode as piece_decode, encode_line
 
 MAX_ORDER = 4
 
@@ -144,19 +143,18 @@ def parse_direction(direction: str, cfg: ModelConfig):
 def translate_corpus(params, cfg: ModelConfig, vocab: Vocab, lines, tgt_lang: str,
                      max_len: int = 64, batch_size: int = 64) -> list:
     """Greedy-decode every line into tgt_lang; returns detokenized strings.
-    Sources longer than the position table are truncated, never dropped:
-    every input line gets exactly one output line."""
+    Sources longer than the position table are truncated, never dropped, and
+    blank sources translate to "" without decoding: every input line gets
+    exactly one output line."""
     keep = cfg.max_positions - 2
     out = []
     for lo in range(0, len(lines), batch_size):
-        chunk = [piece_encode(vocab, s).ids[:keep]
-                 for s in lines[lo:lo + batch_size]]
-        width = max(len(c) for c in chunk)
-        block = np.full((len(chunk), width), PAD, dtype=np.int32)
-        for i, c in enumerate(chunk):
-            block[i, :len(c)] = c
-        for ids in greedy_decode_batch(params, cfg, block, tgt_lang, max_len=max_len):
-            out.append(piece_decode(vocab, strip_body(ids)))
+        chunk = [encode_line(vocab, s)[:keep] for s in lines[lo:lo + batch_size]]
+        rows = [c for c in chunk if c.size]
+        decoded = iter(greedy_decode_batch(params, cfg, pad_block(rows), tgt_lang,
+                                           max_len=max_len) if rows else [])
+        for c in chunk:
+            out.append(piece_decode(vocab, strip_body(next(decoded))) if c.size else "")
     return out
 
 

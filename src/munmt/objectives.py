@@ -39,8 +39,7 @@ def _teacher_blocks(tgt_rows: list):
     return pad_block(dec_in), pad_block(target)
 
 
-def sequence_nll(logits: T.Tensor, targets: np.ndarray,
-                 label_smoothing: float = 0.0) -> T.Tensor:
+def sequence_nll(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
     """Mean NLL over non-PAD target positions of a (B, L, V) logits tensor."""
     targets = np.asarray(targets)
     mask = (targets != PAD)
@@ -51,17 +50,11 @@ def sequence_nll(logits: T.Tensor, targets: np.ndarray,
     picked = T.take_along_last(logp, targets[..., None].astype(np.int64))
     picked = T.reshape(picked, targets.shape)
     maskc = T.constant(mask.astype(logits.dtype))
-    nll = T.scale(T.sum_all(T.mul(picked, maskc)), -1.0 / count)
-    if label_smoothing > 0.0:
-        V = logits.shape[-1]
-        uni = T.scale(T.sum_all(T.mul(logp, T.constant(
-            mask[..., None].astype(logits.dtype)))), -1.0 / (count * V))
-        nll = T.add(T.scale(nll, 1.0 - label_smoothing), T.scale(uni, label_smoothing))
-    return nll
+    return T.scale(T.sum_all(T.mul(picked, maskc)), -1.0 / count)
 
 
 def cross_entropy_loss(params: ModelParams, cfg: ModelConfig, src, tgt,
-                       tgt_lang: str, label_smoothing: float = 0.0) -> T.Tensor:
+                       tgt_lang: str) -> T.Tensor:
     """Teacher-forced translation loss src -> tgt in language tgt_lang.
 
     `src`/`tgt` are padded id blocks or lists of raw id rows (no BOS/EOS;
@@ -75,7 +68,7 @@ def cross_entropy_loss(params: ModelParams, cfg: ModelConfig, src, tgt,
     src_block = pad_block(src_rows)
     dec_in, target = _teacher_blocks(tgt_rows)
     logits = forward_logits(params, cfg, src_block, dec_in, tgt_lang)
-    return sequence_nll(logits, target, label_smoothing)
+    return sequence_nll(logits, target)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +108,13 @@ def apply_mask(ids: np.ndarray, spec: MaskSpec):
     return masked, segment
 
 
-def mass_loss_for_spec(params, cfg, ids: np.ndarray, lang: str, spec: MaskSpec,
-                       label_smoothing: float = 0.0) -> T.Tensor:
+def mass_loss_for_spec(params, cfg, ids: np.ndarray, lang: str, spec: MaskSpec) -> T.Tensor:
     """Definitional reduction: CE from the masked sentence to the hidden span."""
     masked, segment = apply_mask(ids, spec)
-    return cross_entropy_loss(params, cfg, [masked], [segment], lang, label_smoothing)
+    return cross_entropy_loss(params, cfg, [masked], [segment], lang)
 
 
-def mass_loss(params, cfg, batch, lang: str, rng: np.random.Generator,
-              label_smoothing: float = 0.0) -> T.Tensor:
+def mass_loss(params, cfg, batch, lang: str, rng: np.random.Generator) -> T.Tensor:
     """Batched masked-span loss; each row draws its own span from `rng`."""
     rows = _as_rows(batch)
     masked_rows, segments = [], []
@@ -132,7 +123,7 @@ def mass_loss(params, cfg, batch, lang: str, rng: np.random.Generator,
         m, s = apply_mask(r, spec)
         masked_rows.append(m)
         segments.append(s)
-    return cross_entropy_loss(params, cfg, masked_rows, segments, lang, label_smoothing)
+    return cross_entropy_loss(params, cfg, masked_rows, segments, lang)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +137,27 @@ class DecodeLossResult:
     skipped: int
 
 
+def _decode_then_score(params, cfg, src_rows, tgt_rows, via_lang: str,
+                       tgt_lang: str, max_len: int) -> DecodeLossResult:
+    """Greedy-decode src_rows into via_lang with gradients off, drop the rows
+    whose decode comes back empty, and score CE from each remaining decode to
+    its tgt row in tgt_lang."""
+    decoded = greedy_decode_batch(params, cfg, pad_block(src_rows), via_lang, max_len)
+    kept = []
+    for d, y in zip(decoded, tgt_rows):
+        body = strip_body(d)
+        if body:
+            kept.append((np.asarray(body, dtype=np.int32), y))
+    skipped = len(tgt_rows) - len(kept)
+    if not kept:
+        return DecodeLossResult(None, 0, skipped)
+    loss = cross_entropy_loss(params, cfg, [d for d, _ in kept], [y for _, y in kept],
+                              tgt_lang)
+    return DecodeLossResult(loss, len(kept), skipped)
+
+
 def back_translation_loss(params, cfg, batch, x_lang: str, via_lang: str,
-                          max_len: int = 32, label_smoothing: float = 0.0) -> DecodeLossResult:
+                          max_len: int = 32) -> DecodeLossResult:
     """Round-trip loss on mono data: translate x into via_lang with gradients
     off, then score translating that intermediate back into x."""
     if via_lang == x_lang:
@@ -155,20 +165,12 @@ def back_translation_loss(params, cfg, batch, x_lang: str, via_lang: str,
     rows = _as_rows(batch)
     if not rows:
         raise DataError("empty back-translation batch")
-    decoded = greedy_decode_batch(params, cfg, pad_block(rows), via_lang, max_len)
-    pairs = [(strip_body(d), r) for d, r in zip(decoded, rows)]
-    kept = [(np.asarray(d, dtype=np.int32), r) for d, r in pairs if len(d) > 0]
-    skipped = len(pairs) - len(kept)
-    if not kept:
-        return DecodeLossResult(None, 0, skipped)
-    loss = cross_entropy_loss(params, cfg, [d for d, _ in kept], [r for _, r in kept],
-                              x_lang, label_smoothing)
-    return DecodeLossResult(loss, len(kept), skipped)
+    return _decode_then_score(params, cfg, rows, rows, via_lang, x_lang, max_len)
 
 
 def cross_translation_loss(params, cfg, src_batch, tgt_batch, src_lang: str,
-                           tgt_lang: str, via_lang: str, max_len: int = 32,
-                           label_smoothing: float = 0.0) -> DecodeLossResult:
+                           tgt_lang: str, via_lang: str,
+                           max_len: int = 32) -> DecodeLossResult:
     """Pivot loss on parallel data (x, y): translate x into a third language
     with gradients off, then score translating that into y."""
     if via_lang in (src_lang, tgt_lang):
@@ -180,15 +182,5 @@ def cross_translation_loss(params, cfg, src_batch, tgt_batch, src_lang: str,
     tgt_rows = _as_rows(tgt_batch)
     if len(src_rows) != len(tgt_rows):
         raise DataError("source and target batches differ in size")
-    decoded = greedy_decode_batch(params, cfg, pad_block(src_rows), via_lang, max_len)
-    kept = []
-    for d, y in zip(decoded, tgt_rows):
-        body = strip_body(d)
-        if body:
-            kept.append((np.asarray(body, dtype=np.int32), y))
-    skipped = len(tgt_rows) - len(kept)
-    if not kept:
-        return DecodeLossResult(None, 0, skipped)
-    loss = cross_entropy_loss(params, cfg, [d for d, _ in kept], [y for _, y in kept],
-                              tgt_lang, label_smoothing)
-    return DecodeLossResult(loss, len(kept), skipped)
+    return _decode_then_score(params, cfg, src_rows, tgt_rows, via_lang, tgt_lang,
+                              max_len)

@@ -102,14 +102,6 @@ def _flatten(arrs: dict, state: OptimState, what: str) -> np.ndarray:
     return flat
 
 
-def _unflatten(flat: np.ndarray, state: OptimState) -> dict:
-    out = {}
-    for name in state.names:
-        start, end, shape = state.offsets[name]
-        out[name] = flat[start:end].reshape(shape)
-    return out
-
-
 def optimizer_step(params: dict, grads: dict, state: OptimState, lr: float,
                    weight_decay: float = 0.0, clip_norm: float | None = None) -> dict:
     """One update. Mutates `state`, writes new values into the param arrays in place.

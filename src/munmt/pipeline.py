@@ -21,8 +21,8 @@ from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_digest, to_dict
 from .corpus import (SamplingPolicy, bucket_batches, build_registry,
-                     choose_dataset, draw_batch, load_manifest, read_lines,
-                     save_manifest)
+                     choose_dataset, draw_batch, load_dataset, load_manifest,
+                     read_lines, save_manifest)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, translate_corpus, write_report
 from .model import ModelConfig, ModelParams, init_params
@@ -49,16 +49,26 @@ class RunContext:
     vocab_digest: str = ""
     config_digest: str = ""
     quiet: bool = False
+    # the manifest's tokenized corpora, built on the first registry() call
+    _registry: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def say(self, msg: str) -> None:
         if not self.quiet:
             print(msg, flush=True)
 
     def registry(self, extra_entries=None):
+        """(languages, datasets): the manifest's corpora, tokenized once per
+        context, followed by `extra_entries` (e.g. synthetic rounds), which
+        are tokenized on every call. Each call returns a fresh list."""
         # the model's position table caps usable length below the corpus filter
         limit = min(self.cfg.max_pieces, self.model_cfg.max_positions - 2)
-        return build_registry(self.manifest_path, self.vocab, limit,
-                              extra_entries=extra_entries)
+        if self._registry is None:
+            self._registry = build_registry(self.manifest_path, self.vocab, limit)
+        languages, datasets = self._registry
+        root = os.path.dirname(os.path.abspath(self.manifest_path))
+        return languages, datasets + [load_dataset(e, root, self.vocab, limit)
+                                      for e in extra_entries or []]
 
     def stage_spec(self, label: str):
         specs = {"stage1": self.cfg.stage1, "stage2a": self.cfg.stage2a,
@@ -80,10 +90,20 @@ class ArmOptions:
 class AuditLog:
     """One tab-separated line per attempted update:
     step dataset objective src_lang tgt_lang loss
-    Loss is %.10g, or the literal "skip" when every decode came back empty."""
+    Loss is %.10g, or the literal "skip" when every decode came back empty.
 
-    def __init__(self, path, append: bool = False):
-        self.fh = open(path, "a" if append else "w", encoding="utf-8")
+    A log opened for a run resumed at `start_step` keeps the complete rows of
+    the earlier steps already in the file and drops the rest, so the steps
+    that are run again are logged once."""
+
+    def __init__(self, path, start_step: int = 0):
+        kept = []
+        if start_step > 0 and os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                kept = [row for row in fh if row.endswith("\n")
+                        and int(row.split("\t", 1)[0]) < start_step]
+        self.fh = open(path, "w", encoding="utf-8")
+        self.fh.writelines(kept)
 
     def note(self, step, dataset, objective, src_lang, tgt_lang, loss):
         val = "skip" if loss is None else "%.10g" % loss
@@ -169,7 +189,7 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
         return {"model": asdict(mcfg), "stage_label": label}
 
     with AuditLog(os.path.join(ctx.out_dir, f"audit.{label}.tsv"),
-                  append=start_step > 0) as audit:
+                  start_step) as audit:
         for t in range(start_step, spec.steps):
             rng = named_rng(ctx.cfg.seed, f"{label}:step{t}")
             ds = choose_dataset(datasets, policy, rng)
@@ -201,6 +221,7 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
             if done % 500 == 0 or done == spec.steps:
                 ctx.say(f"[{label}] step {done}/{spec.steps} loss {val:.4f}")
             if interval and done % interval == 0 and done < spec.steps:
+                audit.fh.flush()  # a resume from this checkpoint needs every earlier row
                 ck = Checkpoint(params, opt, stage_tag, done,
                                 ctx.vocab_digest, ctx.config_digest, meta())
                 save_checkpoint(ck, os.path.join(
@@ -245,15 +266,39 @@ def run_stage2(ctx: RunContext, params: ModelParams, label: str,
 # synthetic parallel data
 
 
-def _decode_lines(ctx, params, lines, tgt_lang):
-    return translate_corpus(params, ctx.model_cfg, ctx.vocab, lines, tgt_lang,
-                            max_len=ctx.cfg.eval.max_len,
-                            batch_size=ctx.cfg.eval.batch_size)
-
-
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _synthesize(ctx, params, round_idx, source, lines, sel, into):
+    """Decode the selected lines of the mono dataset `source` into language
+    `into`, write both sides and a sidecar naming the lines used, and return
+    the entry of the synthetic corpus labeled into -> source language."""
+    orig = source["lang"]
+    src_texts = [lines[i] for i in sel]
+    ctx.say(f"[synthetic r{round_idx}] decoding {len(sel)} {orig} lines into {into}")
+    decoded = translate_corpus(params, ctx.model_cfg, ctx.vocab, src_texts, into,
+                               max_len=ctx.cfg.eval.max_len,
+                               batch_size=ctx.cfg.eval.batch_size)
+    stem = f"r{round_idx}.{into}-{orig}"
+    out_root = os.path.join(ctx.out_dir, "synthetic")
+    into_path = os.path.join(out_root, f"{stem}.{into}.txt")
+    orig_path = os.path.join(out_root, f"{stem}.{orig}.txt")
+    _write_lines(into_path, decoded)
+    _write_lines(orig_path, src_texts)
+    _write_json(os.path.join(out_root, f"{stem}.meta.json"), {
+        "round": round_idx, "source_dataset": source["id"],
+        "line_indices": [int(i) for i in sel],
+        "empty_decodes": sum(1 for d in decoded if not d)})
+    return {"id": f"synth.{stem}", "kind": "parallel", "src": into, "tgt": orig,
+            "src_path": into_path, "tgt_path": orig_path, "synthetic": True}
 
 
 def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
@@ -274,8 +319,7 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
     root = os.path.dirname(os.path.abspath(ctx.manifest_path))
     mono = {e["lang"]: e for e in entries if e["kind"] == "mono"}
     syn = ctx.cfg.synthetic
-    out_root = os.path.join(ctx.out_dir, "synthetic")
-    os.makedirs(out_root, exist_ok=True)
+    os.makedirs(os.path.join(ctx.out_dir, "synthetic"), exist_ok=True)
 
     def mono_lines(lang):
         if lang not in mono:
@@ -283,7 +327,6 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
         return mono[lang], read_lines(os.path.join(root, mono[lang]["path"]))
 
     out_entries = []
-    sidecars = []
     for x in targets:
         entry, lines = mono_lines(x)
         n = len(lines)
@@ -301,22 +344,8 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
                 raise DataError(
                     f"round 2 needs {k + k2} distinct {x} lines, corpus has {n}")
             sel = np.sort(perm[k:k + k2])
-        src_texts = [lines[i] for i in sel]
-        ctx.say(f"[synthetic r{round_idx}] decoding {len(sel)} {x} lines into {english}")
-        decoded = _decode_lines(ctx, params, src_texts, english)
-        stem = f"r{round_idx}.{english}-{x}"
-        en_path = os.path.join(out_root, f"{stem}.{english}.txt")
-        x_path = os.path.join(out_root, f"{stem}.{x}.txt")
-        _write_lines(en_path, decoded)
-        _write_lines(x_path, src_texts)
-        out_entries.append({"id": f"synth.{stem}", "kind": "parallel",
-                            "src": english, "tgt": x,
-                            "src_path": en_path, "tgt_path": x_path,
-                            "synthetic": True})
-        sidecars.append((os.path.join(out_root, f"{stem}.meta.json"), {
-            "round": round_idx, "source_dataset": entry["id"],
-            "line_indices": [int(i) for i in sel],
-            "empty_decodes": sum(1 for d in decoded if not d)}))
+        out_entries.append(_synthesize(ctx, params, round_idx, entry, lines, sel,
+                                       english))
 
     if round_idx == 2:
         entry, en_lines = mono_lines(english)
@@ -329,31 +358,10 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
                     f"round 2 needs {(i + 1) * m} {english} lines for "
                     f"{len(targets)} targets, corpus has {n}")
             sel = np.sort(perm[i * m:(i + 1) * m])
-            src_texts = [en_lines[j] for j in sel]
-            ctx.say(f"[synthetic r2] decoding {m} {english} lines into {x}")
-            decoded = _decode_lines(ctx, params, src_texts, x)
-            stem = f"r2.{x}-{english}"
-            x_path = os.path.join(out_root, f"{stem}.{x}.txt")
-            en_path = os.path.join(out_root, f"{stem}.{english}.txt")
-            _write_lines(x_path, decoded)
-            _write_lines(en_path, src_texts)
-            out_entries.append({"id": f"synth.{stem}", "kind": "parallel",
-                                "src": x, "tgt": english,
-                                "src_path": x_path, "tgt_path": en_path,
-                                "synthetic": True})
-            sidecars.append((os.path.join(out_root, f"{stem}.meta.json"), {
-                "round": 2, "source_dataset": entry["id"],
-                "line_indices": [int(j) for j in sel],
-                "empty_decodes": sum(1 for d in decoded if not d)}))
+            out_entries.append(_synthesize(ctx, params, 2, entry, en_lines, sel, x))
 
-    for path, doc in sidecars:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    entries_path = os.path.join(out_root, f"r{round_idx}.entries.json")
-    with open(entries_path, "w", encoding="utf-8") as fh:
-        json.dump(out_entries, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(ctx.out_dir, "synthetic", f"r{round_idx}.entries.json"),
+                out_entries)
     return out_entries
 
 
@@ -572,27 +580,39 @@ def _filtered_manifest(manifest_path, drop_ids, out_dir):
     return path
 
 
+def generate_benchmark(cfg: ExperimentConfig, out_dir) -> None:
+    """Build the toy benchmark under out_dir/benchmark (its seed defaults to
+    the experiment seed) and point cfg's manifest and testsets at it."""
+    bench = dict(cfg.benchmark)
+    bench.setdefault("seed", cfg.seed)
+    paths = build_benchmark(BenchmarkConfig(out_dir=os.path.join(out_dir, "benchmark"),
+                                            **bench))
+    cfg.manifest = paths["manifest"]
+    cfg.testsets = paths["testsets"]
+
+
+def save_resolved_config(cfg: ExperimentConfig, out_dir) -> None:
+    """Snapshot the config a run actually used to out_dir/resolved_config.json."""
+    _write_json(os.path.join(out_dir, "resolved_config.json"), to_dict(cfg))
+
+
 def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
                   arm: ArmOptions | None = None) -> RunContext:
     """Resolve data, train the vocabulary, and fix the model geometry.
 
-    If the config names no manifest, a benchmark is generated under
-    out_dir/benchmark (its seed defaults to the experiment seed). The
-    returned context's cfg is a resolved copy; the caller's is untouched.
+    If the config names no manifest, generate_benchmark builds one under
+    out_dir/benchmark. The returned context's cfg is a resolved copy; the
+    caller's is untouched.
     """
     arm = arm or ArmOptions()
     cfg = copy.deepcopy(cfg)
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     if cfg.manifest is None:
-        bench = dict(cfg.benchmark)
-        bench.setdefault("seed", cfg.seed)
-        bcfg = BenchmarkConfig(out_dir=os.path.join(out_dir, "benchmark"), **bench)
         if not quiet:
-            print(f"[data] building benchmark in {bcfg.out_dir}", flush=True)
-        paths = build_benchmark(bcfg)
-        cfg.manifest = paths["manifest"]
-        cfg.testsets = paths["testsets"]
+            print(f"[data] building benchmark in {os.path.join(out_dir, 'benchmark')}",
+                  flush=True)
+        generate_benchmark(cfg, out_dir)
     manifest_path = cfg.manifest
     if arm.drop_datasets:
         manifest_path = _filtered_manifest(manifest_path, arm.drop_datasets, out_dir)
@@ -646,11 +666,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     started = time.time()
     ctx = build_context(cfg, out_dir, quiet=quiet, arm=arm)
     cfg = ctx.cfg
-
-    with open(os.path.join(out_dir, "resolved_config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(to_dict(cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_resolved_config(cfg, out_dir)
 
     test_sets = _load_eval_sets(cfg.testsets, "test") if cfg.testsets else None
     scores = {}
@@ -684,9 +700,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
                "config_digest": ctx.config_digest,
                "manifest_digest": _sha16(ctx.manifest_path),
                "out_dir": os.path.abspath(out_dir)}
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump({"started": started, "finished": time.time()}, fh, indent=1)
         fh.write("\n")

@@ -34,20 +34,6 @@ def normalize(text: str) -> str:
 
 
 @dataclass
-class TokenSeq:
-    """Piece ids for one sentence, optionally tagged with its language."""
-
-    ids: np.ndarray
-    lang: str | None = None
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int32)
-
-    def __len__(self):
-        return int(self.ids.size)
-
-
-@dataclass
 class Vocab:
     pieces: list  # id -> piece string
     merges: list  # ordered (left, right) piece pairs
@@ -161,11 +147,12 @@ def _apply_merges(vocab: Vocab, word: str):
     return pieces
 
 
-def encode(vocab: Vocab, text: str, lang: str | None = None) -> TokenSeq:
-    """Text -> piece ids. Unknown characters become UNK pieces."""
+def encode_line(vocab: Vocab, text: str) -> np.ndarray:
+    """Normalize `text`, then map it to int32 piece ids. A line that
+    normalizes to nothing gives no ids. Unknown characters become UNK pieces."""
     norm = normalize(text)
     if not norm:
-        raise DataError("cannot encode an empty line")
+        return np.zeros(0, dtype=np.int32)
     ids = []
     cache = vocab._word_cache
     for word in norm.split(" "):
@@ -175,7 +162,15 @@ def encode(vocab: Vocab, text: str, lang: str | None = None) -> TokenSeq:
             got = [vocab.piece_to_id.get(p, UNK) for p in _apply_merges(vocab, marked)]
             cache[marked] = got
         ids.extend(got)
-    return TokenSeq(np.asarray(ids, dtype=np.int32), lang)
+    return np.asarray(ids, dtype=np.int32)
+
+
+def encode(vocab: Vocab, text: str) -> np.ndarray:
+    """Text -> piece ids, as encode_line, but an empty line is an error."""
+    ids = encode_line(vocab, text)
+    if not ids.size:
+        raise DataError("cannot encode an empty line")
+    return ids
 
 
 def decode(vocab: Vocab, ids) -> str:
@@ -187,19 +182,6 @@ def decode(vocab: Vocab, ids) -> str:
             raise DataError(f"token id {i} out of range for vocab of size {vocab.size}")
         out.append(vocab.pieces[i])
     return "".join(out).replace(MARKER, " ").strip()
-
-
-def filter_by_length(items, limit: int = 88):
-    """Drop training items longer than `limit` pieces (either side for pairs)."""
-    kept = []
-    for it in items:
-        if isinstance(it, tuple):
-            if all(len(side) <= limit for side in it):
-                kept.append(it)
-        else:
-            if len(it) <= limit:
-                kept.append(it)
-    return kept
 
 
 # ---------------------------------------------------------------------------

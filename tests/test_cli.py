@@ -80,9 +80,33 @@ def test_synth_data_is_idempotent(chain):
 def test_stage1_resume_reproduces_the_final_checkpoint(chain):
     root, cfg_path, out, _ = chain
     final = (out / "stage1.ckpt").read_bytes()
+    audit = (out / "audit.stage1.tsv").read_bytes()
     code = main(["stage1", "--config", str(cfg_path), "--out", str(out),
                  "--quiet", "--resume", str(out / "stage1.step000002.ckpt")])
     assert code == 0
+    assert (out / "stage1.ckpt").read_bytes() == final
+    # the steps run again replace their rows instead of repeating them
+    assert (out / "audit.stage1.tsv").read_bytes() == audit
+
+
+def test_resume_rejects_another_stages_checkpoint(chain, capsys):
+    root, cfg_path, out, _ = chain
+    final = (out / "stage1.ckpt").read_bytes()
+    code = main(["stage1", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet", "--resume", str(out / "stage2a.ckpt")])
+    assert code == 3
+    assert "cannot resume stage1" in capsys.readouterr().err
+    assert (out / "stage1.ckpt").read_bytes() == final
+
+
+def test_resume_rejects_another_configs_checkpoint(chain, capsys):
+    root, cfg_path, out, _ = chain
+    final = (out / "stage1.ckpt").read_bytes()
+    code = main(["stage1", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet", "--resume", str(out / "stage1.step000002.ckpt"),
+                 "--override", "stage1.lr.peak=0.001"])
+    assert code == 3
+    assert "config digest mismatch" in capsys.readouterr().err
     assert (out / "stage1.ckpt").read_bytes() == final
 
 

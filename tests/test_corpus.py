@@ -258,6 +258,14 @@ def test_registry_drops_long_and_mismatched(tmp_path):
     _, datasets = build_registry(mp, vocab, max_pieces=88)
     assert datasets[0].size == 1
 
+    # a pair goes when either side is blank or too long
+    s = write_corpus(tmp_path, "s.txt", ["ab", "ab", long_line, " "])
+    t = write_corpus(tmp_path, "t.txt", ["ab", long_line, "ab", "ab"])
+    save_manifest(mp, langs, [{"id": "p", "kind": "parallel", "src": "en", "tgt": "en",
+                               "src_path": s, "tgt_path": t}])
+    _, datasets = build_registry(mp, vocab, max_pieces=88)
+    assert datasets[0].size == 1
+
     s = write_corpus(tmp_path, "s.txt", ["ab", "ab"])
     t = write_corpus(tmp_path, "t.txt", ["ab"])
     save_manifest(mp, langs, [{"id": "p", "kind": "parallel", "src": "en", "tgt": "en",

@@ -16,6 +16,7 @@ from munmt.evaluation import (
     format_report,
     report_as_json,
     tokenize_13a,
+    translate_corpus,
     write_report,
 )
 from munmt.model import ModelConfig, init_params
@@ -153,6 +154,15 @@ def test_identity_rigged_model_scores_100(tiny_setup, monkeypatch):
                                                (CORPUS, CORPUS, "xa-en")])
     assert [r.direction for r in rows] == ["en-xa", "xa-en"]
     assert all(r.bleu.score == 100.0 for r in rows)
+
+
+def test_blank_source_lines_translate_to_empty_lines(tiny_setup, monkeypatch):
+    vocab, cfg, params = tiny_setup
+    monkeypatch.setattr(ev, "greedy_decode_batch", _echo_decoder)
+    # batches of two: all blank, one line then a blank, one line
+    lines = ["", " \t ", CORPUS[0], "", CORPUS[1]]
+    assert translate_corpus(params, cfg, vocab, lines, "xa", batch_size=2) == [
+        "", "", CORPUS[0], "", CORPUS[1]]
 
 
 def test_empty_testset_list_gives_empty_report(tiny_setup):

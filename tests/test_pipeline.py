@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from munmt import objectives
+from munmt import objectives, pipeline
 from munmt.checkpoint import load_checkpoint
 from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
                           Stage3Spec, StageSpec, SyntheticSpec)
@@ -406,9 +406,24 @@ def test_filtered_manifest_drops_named_datasets(env, tmp_path):
 # the whole pipeline, smoke scale
 
 
-def test_run_pipeline_end_to_end(env, tmp_path):
+def count_registry_builds(monkeypatch):
+    calls = []
+    build = pipeline.build_registry
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_registry", counted)
+    return calls
+
+
+def test_run_pipeline_end_to_end(env, tmp_path, monkeypatch):
     root, cfg, _ = env
+    builds = count_registry_builds(monkeypatch)
     summary = run_pipeline(cfg, str(tmp_path / "run"), quiet=True)
+    # the manifest is tokenized once; synthetic rounds are added per stage
+    assert len(builds) == 1
     assert set(summary["stages"]) == {"stage1", "stage2a", "stage2b", "stage3"}
     for scores in summary["stages"].values():
         assert set(scores) == {"en-xa", "xa-en"}
@@ -430,7 +445,7 @@ def test_run_pipeline_end_to_end(env, tmp_path):
     assert disk["stages"] == summary["stages"]
 
 
-def test_no_synthetic_arm_skips_generation(env, tmp_path):
+def test_no_synthetic_arm_skips_generation(env, tmp_path, monkeypatch):
     root, cfg, _ = env
     small = copy.deepcopy(cfg)
     small.stage2a = StageSpec(steps=2, lr=LrSpec(peak=5e-4, warmup=2, total=12))
@@ -438,8 +453,10 @@ def test_no_synthetic_arm_skips_generation(env, tmp_path):
     small.stage1 = StageSpec(steps=2, lr=LrSpec(peak=5e-4, warmup=2, total=12))
     small.stage3 = Stage3Spec(sweeps=1, eval_every=0, max_tokens=256, max_len=16)
     out = tmp_path / "nosynth"
+    builds = count_registry_builds(monkeypatch)
     summary = run_pipeline(small, str(out), quiet=True,
                            arm=ArmOptions(use_synthetic=False))
+    assert len(builds) == 1
     assert not (out / "synthetic").exists()
     assert set(summary["stages"]) == {"stage1", "stage2a", "stage2b", "stage3"}
     rows = read_audit(out / "audit.stage3.tsv")

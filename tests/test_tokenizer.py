@@ -1,4 +1,4 @@
-"""Tokenizer: hand-counted merges, roundtrips, file format, filters."""
+"""Tokenizer: hand-counted merges, roundtrips, file format."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from munmt.tokenizer import (
     Vocab,
     decode,
     encode,
-    filter_by_length,
+    encode_line,
     load_vocab,
     normalize,
     save_vocab,
@@ -66,7 +66,7 @@ def test_merge_count_matches_requested_size():
     # once every word is a single piece there is nothing left to merge
     for line in corpus:
         assert all(
-            len(encode(small, w).ids) == 1 for w in line.split()
+            len(encode(small, w)) == 1 for w in line.split()
         )
 
 
@@ -92,21 +92,22 @@ def test_roundtrip_corpus_lines():
     corpus = ["the cat sat on the mat", "a dog ran", "cat and dog and cat"]
     v = train_bpe(corpus, vocab_size=48)
     for line in corpus:
-        seq = encode(v, line)
-        assert decode(v, seq.ids) == normalize(line)
-        assert len(seq) >= 1
+        ids = encode(v, line)
+        assert ids.dtype == np.int32
+        assert decode(v, ids) == normalize(line)
+        assert len(ids) >= 1
 
 
 def test_unknown_character_becomes_unk():
     v = train_bpe(["ab ab"], vocab_size=12)
-    seq = encode(v, "aZb")
-    assert UNK in seq.ids.tolist()
+    assert UNK in encode(v, "aZb").tolist()
 
 
 def test_encode_empty_rejected():
     v = train_bpe(["ab"], vocab_size=10)
     with pytest.raises(DataError):
         encode(v, "   ")
+    assert encode_line(v, " \t ").tolist() == []
 
 
 def test_decode_bad_id_rejected():
@@ -122,8 +123,8 @@ def test_determinism_same_inputs():
     a = train_bpe(corpus, vocab_size=42)
     b = train_bpe(list(corpus), vocab_size=42)
     assert a.pieces == b.pieces and a.merges == b.merges
-    ea = encode(a, "some other words").ids
-    eb = encode(b, "some other words").ids
+    ea = encode(a, "some other words")
+    eb = encode(b, "some other words")
     assert ea.tolist() == eb.tolist()
 
 
@@ -143,16 +144,7 @@ def test_roundtrip_property(lines):
         norm = normalize(line)
         if not norm:
             continue
-        assert decode(v, encode(v, line).ids) == norm
-
-
-def test_filter_by_length():
-    short = np.zeros(88, dtype=np.int32)
-    long = np.zeros(89, dtype=np.int32)
-    assert len(filter_by_length([short, long])) == 1
-    pairs = [(short, short), (short, long), (long, long)]
-    assert len(filter_by_length(pairs)) == 1
-    assert filter_by_length([], 88) == []
+        assert decode(v, encode(v, line)) == norm
 
 
 def test_vocab_file_roundtrip(tmp_path):
@@ -165,7 +157,7 @@ def test_vocab_file_roundtrip(tmp_path):
     assert w.pieces == v.pieces
     assert w.merges == v.merges
     text = "the river run"
-    assert encode(w, text).ids.tolist() == encode(v, text).ids.tolist()
+    assert encode(w, text).tolist() == encode(v, text).tolist()
     assert isinstance(vocab_digest(p), str) and len(vocab_digest(p)) == 64
 
 
@@ -187,6 +179,5 @@ def test_vocab_file_corruption_detected(tmp_path):
 
 def test_marker_is_single_char_and_restores_spaces():
     v = train_bpe(["aa bb", "bb aa"], vocab_size=20)
-    seq = encode(v, "aa bb")
-    assert decode(v, seq.ids) == "aa bb"
+    assert decode(v, encode(v, "aa bb")) == "aa bb"
     assert len(MARKER) == 1
