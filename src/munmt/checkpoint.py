@@ -94,7 +94,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         o = ckpt.opt
         opt_header = {
             "kind": o.kind, "step": o.step, "beta1": o.beta1,
-            "beta2": o.beta2, "eps": o.eps, "names": o.names,
+            "beta2": o.beta2, "eps": o.eps, "names": list(ckpt.params.arrays),
         }
         tensors.append(("optim/m", o.m))
         tensors.append(("optim/v", o.v))
@@ -166,7 +166,6 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
             f"{path}: config digest mismatch "
             f"(file {header.get('config_digest')!r}, active {expect_config_digest!r})")
 
-    opt = None
     oh = header.get("optimizer")
     if oh is not None:
         for aux in ("optim/m", "optim/v"):
@@ -174,19 +173,16 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
                 raise CheckpointError(f"{path}: optimizer header present but {aux} missing")
         m = tensors.pop("optim/m")
         v = tensors.pop("optim/v")
-        param_arrays = {n: tensors[n] for n in oh["names"] if n in tensors}
-        if set(oh["names"]) != set(tensors):
-            raise CheckpointError(f"{path}: optimizer names do not cover saved tensors")
-        state = OptimState.init(param_arrays, kind=oh["kind"], beta1=oh["beta1"],
-                                beta2=oh["beta2"], eps=oh["eps"])
-        if m.shape != state.m.shape:
-            raise CheckpointError(f"{path}: optimizer buffer size mismatch")
-        state.m = m
-        state.v = v
-        state.step = int(oh["step"])
-        opt = state
-
+        if oh["names"] != list(tensors):
+            raise CheckpointError(f"{path}: optimizer names do not match the saved tensors")
     params = ModelParams(tensors)
+    opt = None
+    if oh is not None:
+        if m.shape != params.flat.shape or v.shape != params.flat.shape:
+            raise CheckpointError(f"{path}: optimizer buffer size mismatch")
+        opt = OptimState(kind=oh["kind"], m=m, v=v, step=int(oh["step"]),
+                         beta1=oh["beta1"], beta2=oh["beta2"], eps=oh["eps"])
+
     return Checkpoint(params, opt, header["stage"], header["step"],
                       header.get("vocab_digest", ""), header.get("config_digest", ""),
                       header.get("meta", {}))

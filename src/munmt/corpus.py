@@ -112,20 +112,23 @@ class Batch:
     tgt_lang: str | None = None
 
 
+def _batch(ds: Dataset, idx) -> Batch:
+    """The padded batch of `ds.items` at the indices `idx`."""
+    if ds.kind == "mono":
+        return Batch(ds.id, "mono", pad_block([ds.items[i] for i in idx]), lang=ds.lang)
+    srcs = [ds.items[i][0] for i in idx]
+    tgts = [ds.items[i][1] for i in idx]
+    return Batch(ds.id, "parallel", pad_block(srcs), pad_block(tgts),
+                 src_lang=ds.src, tgt_lang=ds.tgt)
+
+
 def draw_batch(ds: Dataset, batch_size: int, rng: np.random.Generator) -> Batch:
     """Sample `batch_size` items with replacement and pad."""
     if ds.size == 0:
         raise DataError(f"dataset {ds.id} is empty")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    idx = rng.integers(0, ds.size, size=batch_size)
-    if ds.kind == "mono":
-        rows = [ds.items[i] for i in idx]
-        return Batch(ds.id, "mono", pad_block(rows), lang=ds.lang)
-    srcs = [ds.items[i][0] for i in idx]
-    tgts = [ds.items[i][1] for i in idx]
-    return Batch(ds.id, "parallel", pad_block(srcs), pad_block(tgts),
-                 src_lang=ds.src, tgt_lang=ds.tgt)
+    return _batch(ds, rng.integers(0, ds.size, size=batch_size))
 
 
 def bucket_batches(ds: Dataset, max_tokens: int = 2000, bucket_width: int = 8):
@@ -170,17 +173,7 @@ def bucket_batches(ds: Dataset, max_tokens: int = 2000, bucket_width: int = 8):
         if cur:
             batches.append(cur)
 
-    out = []
-    for index_list in batches:
-        if ds.kind == "mono":
-            rows = [ds.items[i] for i in index_list]
-            out.append(Batch(ds.id, "mono", pad_block(rows), lang=ds.lang))
-        else:
-            srcs = [ds.items[i][0] for i in index_list]
-            tgts = [ds.items[i][1] for i in index_list]
-            out.append(Batch(ds.id, "parallel", pad_block(srcs), pad_block(tgts),
-                             src_lang=ds.src, tgt_lang=ds.tgt))
-    return out
+    return [_batch(ds, index_list) for index_list in batches]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from . import checkpoint as ckpt_mod
 from .corpus import pad_block
 from .errors import ConfigError, DataError
 from .model import ModelConfig, greedy_decode_batch, strip_body
@@ -171,17 +170,6 @@ def evaluate_model(params, cfg: ModelConfig, vocab: Vocab, testsets,
                                 max_len=max_len, batch_size=batch_size)
         rows.append(DirectionResult(direction, bleu(hyps, ref_lines, mode)))
     return rows
-
-
-def evaluate_checkpoint(path, vocab: Vocab, testsets, mode: str = "pretokenized",
-                        max_len: int = 64, batch_size: int = 64) -> list:
-    ck = ckpt_mod.load_checkpoint(path)
-    conf = ck.meta.get("model")
-    if not conf:
-        raise DataError(f"{path}: checkpoint lacks model geometry metadata")
-    cfg = ModelConfig(**conf).validate()
-    return evaluate_model(ck.params, cfg, vocab, testsets, mode=mode,
-                          max_len=max_len, batch_size=batch_size)
 
 
 def format_report(rows) -> str:

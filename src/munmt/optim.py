@@ -1,18 +1,20 @@
 """Adam/Adamax with decoupled weight decay, and the linear warmup/decay schedule.
 
 The optimizer is a pure function of (params, grads, state, lr, weight_decay):
-identical inputs give bit-identical outputs. Params and state live in flat
-contiguous buffers so one step is a handful of vectorized passes instead of
-hundreds of small array ops.
+identical inputs give bit-identical outputs. The parameter layout belongs to
+`ModelParams`: the optimizer updates its flat buffer in place, and the moment
+buffers share that layout, so one step is a handful of vectorized passes
+instead of hundreds of small array ops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .model import ModelParams
 
 
 @dataclass
@@ -58,11 +60,10 @@ def lr_at(sched: LrSchedule, step: int) -> float:
 
 @dataclass
 class OptimState:
-    """Flat first/second-moment buffers plus the shared step counter."""
+    """First/second-moment buffers laid out like `ModelParams.flat`, plus the
+    shared step counter."""
 
     kind: str  # "adam" | "adamax"
-    names: list
-    offsets: dict  # name -> (start, end, shape)
     m: np.ndarray
     v: np.ndarray  # second moment (adam) or infinity norm (adamax)
     step: int = 0
@@ -70,54 +71,27 @@ class OptimState:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if self.kind not in ("adam", "adamax"):
+            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
+
     @classmethod
-    def init(cls, params: dict, kind: str = "adam", beta1: float = 0.9,
+    def init(cls, params: ModelParams, kind: str = "adam", beta1: float = 0.9,
              beta2: float = 0.999, eps: float = 1e-8) -> "OptimState":
-        if kind not in ("adam", "adamax"):
-            raise ConfigError(f"unknown optimizer kind {kind!r}")
-        names = list(params.keys())
-        offsets = {}
-        pos = 0
-        for n in names:
-            arr = np.asarray(params[n])
-            offsets[n] = (pos, pos + arr.size, arr.shape)
-            pos += arr.size
-        dtype = np.asarray(params[names[0]]).dtype if names else np.float32
-        return cls(kind=kind, names=names, offsets=offsets,
-                   m=np.zeros(pos, dtype=dtype), v=np.zeros(pos, dtype=dtype),
+        return cls(kind=kind, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
                    step=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def _flatten(arrs: dict, state: OptimState, what: str) -> np.ndarray:
-    total = state.m.size
-    flat = np.zeros(total, dtype=state.m.dtype)
-    for name, a in arrs.items():
-        if name not in state.offsets:
-            raise ConfigError(f"{what} key {name!r} not in optimizer state")
-        start, end, shape = state.offsets[name]
-        a = np.asarray(a)
-        if a.shape != shape:
-            raise ConfigError(f"{what} {name!r} has shape {a.shape}, expected {shape}")
-        flat[start:end] = a.reshape(-1)
-    return flat
+def optimizer_step(params: ModelParams, grads: dict, state: OptimState, lr: float,
+                   weight_decay: float = 0.0, clip_norm: float | None = None) -> ModelParams:
+    """One update. Mutates `state` and writes the new values into `params.flat`.
 
-
-def optimizer_step(params: dict, grads: dict, state: OptimState, lr: float,
-                   weight_decay: float = 0.0, clip_norm: float | None = None) -> dict:
-    """One update. Mutates `state`, writes new values into the param arrays in place.
-
-    `params` maps name -> np.ndarray (written through), `grads` maps a subset
-    of those names to same-shaped arrays; missing names mean zero gradient.
-    Weight decay is decoupled and scaled by lr: p *= 1 - lr * weight_decay.
-    Returns the params dict for convenience.
+    `grads` maps a subset of the parameter names to same-shaped arrays;
+    missing names mean zero gradient. Weight decay is decoupled and scaled by
+    lr: p *= 1 - lr * weight_decay. Returns `params` for convenience.
     """
-    unknown = set(grads) - set(state.offsets)
-    if unknown:
-        raise ConfigError(f"gradient keys not in params: {sorted(unknown)}")
-    if set(params) != set(state.names):
-        raise ConfigError("params keys do not match optimizer state")
-    p = _flatten(params, state, "param")
-    g = _flatten(grads, state, "grad")
+    p = params.flat
+    g = params.flat_grad(grads)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
     if clip_norm is not None:
@@ -146,8 +120,4 @@ def optimizer_step(params: dict, grads: dict, state: OptimState, lr: float,
         bc1 = 1.0 - b1 ** t
         p -= (lr / bc1) * state.m / (state.v + eps)
 
-    # write back through the caller's arrays
-    for name in state.names:
-        start, end, shape = state.offsets[name]
-        np.copyto(params[name], p[start:end].reshape(shape))
     return params

@@ -162,6 +162,19 @@ def check_manifest_compat(cfg: ExperimentConfig, languages, entries) -> None:
 # stages 1 and 2: the sampled-update loop
 
 
+def _update(params: ModelParams, opt: OptimState, loss, lr: float, spec,
+            where: str) -> float:
+    """Check that the loss is finite, backpropagate it, and apply one
+    optimizer step. Returns the loss value; `where` locates a failure."""
+    val = float(loss.data)
+    if not np.isfinite(val):
+        raise NumericError(f"non-finite loss at {where}")
+    grads = T.backward(loss, params.tensors)
+    optimizer_step(params, grads, opt, lr, weight_decay=spec.weight_decay,
+                   clip_norm=spec.clip_norm or None)
+    return val
+
+
 def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                    spec, stage_tag: str, opt: OptimState | None = None,
                    start_step: int = 0) -> Checkpoint:
@@ -180,7 +193,7 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
         raise ConfigError(f"start_step {start_step} outside [0, {spec.steps}]")
     policy = SamplingPolicy(ctx.cfg.p_parallel, ctx.cfg.temperature).validate()
     if opt is None:
-        opt = OptimState.init(params.arrays, kind=spec.optimizer)
+        opt = OptimState.init(params, kind=spec.optimizer)
     sched = LrSchedule(spec.lr.peak, spec.lr.warmup, spec.lr.total).validate()
     mcfg = ctx.model_cfg
     interval = spec.checkpoint_interval
@@ -208,14 +221,8 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                                          batch.src_ids, batch.src_lang)
                 loss = T.add(fwd, rev)
                 obj, src_l, tgt_l = "ce2", batch.src_lang, batch.tgt_lang
-            val = float(loss.data)
-            if not np.isfinite(val):
-                raise NumericError(
-                    f"non-finite loss at {label} step {t} (dataset {ds.id})")
-            grads = T.backward(loss, params.tensors)
-            optimizer_step(params.arrays, grads, opt, lr_at(sched, t),
-                           weight_decay=spec.weight_decay,
-                           clip_norm=spec.clip_norm or None)
+            val = _update(params, opt, loss, lr_at(sched, t), spec,
+                          f"{label} step {t} (dataset {ds.id})")
             audit.note(t, ds.id, obj, src_l, tgt_l, val)
             done = t + 1
             if done % 500 == 0 or done == spec.steps:
@@ -463,7 +470,7 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
         if not batches[ds_id]:
             raise DataError(f"dataset {ds_id} produced no batches")
 
-    opt = OptimState.init(params.arrays, kind=spec.optimizer)
+    opt = OptimState.init(params, kind=spec.optimizer)
     lr = ctx.cfg.stage1.lr.peak / spec.lr_divisor
     mcfg = ctx.model_cfg
 
@@ -471,8 +478,7 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
     if ctx.cfg.testsets and spec.eval_every > 0:
         dev_sets = _load_eval_sets(ctx.cfg.testsets, "dev")
     best_score = None
-    best_params = None
-    best_opt = None
+    best = None  # (params.flat, opt.m, opt.v, opt.step) at the best dev check
     stale = 0
     attempt = 0
     sweeps_run = 0
@@ -507,15 +513,8 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
                     audit.note(attempt, ds_id, obj, src_l, tgt_l, None)
                     attempt += 1
                     continue
-                val = float(loss.data)
-                if not np.isfinite(val):
-                    raise NumericError(
-                        f"non-finite loss at stage3 sweep {sweep} "
-                        f"(dataset {ds_id}, {obj})")
-                grads = T.backward(loss, params.tensors)
-                optimizer_step(params.arrays, grads, opt, lr,
-                               weight_decay=spec.weight_decay,
-                               clip_norm=spec.clip_norm or None)
+                val = _update(params, opt, loss, lr, spec,
+                              f"stage3 sweep {sweep} (dataset {ds_id}, {obj})")
                 audit.note(attempt, ds_id, obj, src_l, tgt_l, val)
                 attempt += 1
             sweeps_run = sweep + 1
@@ -527,8 +526,7 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
                 ctx.say(f"[stage3] dev mean {score:.2f} ({detail})")
                 if best_score is None or score > best_score:
                     best_score = score
-                    best_params = params.copy()
-                    best_opt = (opt.m.copy(), opt.v.copy(), opt.step)
+                    best = (params.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step)
                     stale = 0
                 else:
                     stale += 1
@@ -536,10 +534,9 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
                         ctx.say(f"[stage3] stopping early after {sweeps_run} sweeps")
                         break
 
-    if best_params is not None:
-        for k, v in best_params.arrays.items():
-            np.copyto(params.arrays[k], v)
-        opt.m, opt.v, opt.step = best_opt
+    if best is not None:
+        params.flat[...] = best[0]
+        opt.m, opt.v, opt.step = best[1:]
 
     meta = {"model": asdict(mcfg), "stage_label": "stage3",
             "sweeps_run": sweeps_run, "best_dev": best_score}

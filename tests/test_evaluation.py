@@ -11,7 +11,6 @@ from munmt.errors import ConfigError, DataError
 from munmt.evaluation import (
     BleuScore,
     bleu,
-    evaluate_checkpoint,
     evaluate_model,
     format_report,
     report_as_json,
@@ -200,20 +199,3 @@ def test_report_roundtrip_files(tiny_setup, tmp_path, monkeypatch):
     assert blob[0]["direction"] == "xa-en"
     assert blob[0]["score"] == 100.0
     assert blob[0]["hyp_len"] == blob[0]["ref_len"]
-
-
-def test_evaluate_checkpoint_roundtrip(tiny_setup, tmp_path, monkeypatch):
-    from dataclasses import asdict
-
-    from munmt.checkpoint import Checkpoint, save_checkpoint
-
-    vocab, cfg, params = tiny_setup
-    p = tmp_path / "m.ckpt"
-    save_checkpoint(Checkpoint(params, None, "1", 5, meta={"model": asdict(cfg)}), p)
-    monkeypatch.setattr(ev, "greedy_decode_batch", _echo_decoder)
-    rows = evaluate_checkpoint(p, vocab, [(CORPUS, CORPUS, "en-xa")])
-    assert rows[0].bleu.score == 100.0
-
-    save_checkpoint(Checkpoint(params, None, "1", 5), tmp_path / "bare.ckpt")
-    with pytest.raises(DataError):
-        evaluate_checkpoint(tmp_path / "bare.ckpt", vocab, [])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from munmt.errors import ConfigError
+from munmt.model import ModelParams
 from munmt.optim import LrSchedule, OptimState, lr_at, optimizer_step
 
 
 def _single(value=1.0):
-    params = {"p": np.asarray([value], dtype=np.float64)}
+    params = ModelParams({"p": np.asarray([value], dtype=np.float64)})
     return params
 
 
@@ -23,14 +24,14 @@ def test_adam_first_step_hand_arithmetic():
     mhat = m / (1 - 0.9)
     vhat = v / (1 - 0.999)
     expect = 1.0 - 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert params["p"][0] == pytest.approx(expect, rel=1e-12)
+    assert params.arrays["p"][0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_zero_grad_weight_decay_only():
     params = _single(1.0)
     state = OptimState.init(params, "adam")
     optimizer_step(params, {}, state, lr=0.0002, weight_decay=0.2)
-    assert params["p"][0] == pytest.approx(1.0 * (1.0 - 0.0002 * 0.2), rel=1e-15)
+    assert params.arrays["p"][0] == pytest.approx(1.0 * (1.0 - 0.0002 * 0.2), rel=1e-15)
 
 
 def test_adam_three_steps_simulation_oracle():
@@ -38,7 +39,7 @@ def test_adam_three_steps_simulation_oracle():
     shape = (3, 4)
     p0 = rng.normal(size=shape)
     gs = [rng.normal(size=shape) for _ in range(3)]
-    params = {"w": p0.copy()}
+    params = ModelParams({"w": p0.copy()})
     state = OptimState.init(params, "adam")
     lr, wd = 0.01, 0.1
     for g in gs:
@@ -50,7 +51,7 @@ def test_adam_three_steps_simulation_oracle():
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         p = p - lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-    np.testing.assert_allclose(params["w"], p, rtol=1e-12)
+    np.testing.assert_allclose(params.arrays["w"], p, rtol=1e-12)
     assert state.step == 3
 
 
@@ -59,7 +60,7 @@ def test_adamax_simulation_oracle():
     shape = (5,)
     p0 = rng.normal(size=shape)
     gs = [rng.normal(size=shape) for _ in range(4)]
-    params = {"w": p0.copy()}
+    params = ModelParams({"w": p0.copy()})
     state = OptimState.init(params, "adamax")
     lr = 0.02
     for g in gs:
@@ -69,15 +70,15 @@ def test_adamax_simulation_oracle():
         m = 0.9 * m + 0.1 * g
         u = np.maximum(0.999 * u, np.abs(g))
         p = p - (lr / (1 - 0.9**t)) * m / (u + 1e-8)
-    np.testing.assert_allclose(params["w"], p, rtol=1e-12)
+    np.testing.assert_allclose(params.arrays["w"], p, rtol=1e-12)
 
 
 def test_missing_grad_means_no_update_beyond_decay():
-    params = {"a": np.asarray([2.0]), "b": np.asarray([3.0])}
+    params = ModelParams({"a": np.asarray([2.0]), "b": np.asarray([3.0])})
     state = OptimState.init(params, "adam")
     optimizer_step(params, {"a": np.asarray([1.0])}, state, lr=0.1, weight_decay=0.0)
-    assert params["b"][0] == 3.0
-    assert params["a"][0] != 2.0
+    assert params.arrays["b"][0] == 3.0
+    assert params.arrays["a"][0] != 2.0
 
 
 def test_bad_grad_keys_and_shapes_rejected():
@@ -87,6 +88,19 @@ def test_bad_grad_keys_and_shapes_rejected():
         optimizer_step(params, {"nope": np.asarray([1.0])}, state, lr=0.1)
     with pytest.raises(ConfigError):
         optimizer_step(params, {"p": np.zeros((2, 2))}, state, lr=0.1)
+
+
+def test_step_updates_the_store_that_every_view_shares():
+    params = ModelParams({"a": np.zeros((2, 3)), "b": np.ones(4)})
+    state = OptimState.init(params, "adam")
+    before = params.flat.copy()
+    optimizer_step(params, {"a": np.ones((2, 3)), "b": np.ones(4)}, state, lr=0.1)
+    for k, t in params.tensors.items():
+        assert np.shares_memory(t.data, params.flat)
+        assert t.data is params.arrays[k]
+    assert not np.any(params.flat == before)
+    np.testing.assert_array_equal(params.tensors["a"].data.reshape(-1), params.flat[:6])
+    np.testing.assert_array_equal(params.tensors["b"].data, params.flat[6:])
 
 
 def test_unknown_kind_rejected():
@@ -100,16 +114,16 @@ def test_determinism_bitwise():
     g = rng.normal(size=(7,)).astype(np.float32)
     outs = []
     for _ in range(2):
-        params = {"w": p0.copy()}
+        params = ModelParams({"w": p0.copy()})
         state = OptimState.init(params, "adam")
         for _ in range(5):
             optimizer_step(params, {"w": g}, state, lr=0.003, weight_decay=0.05)
-        outs.append(params["w"].copy())
+        outs.append(params.arrays["w"].copy())
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_clip_norm_applied():
-    params = {"w": np.zeros(4)}
+    params = ModelParams({"w": np.zeros(4)})
     state = OptimState.init(params, "adam")
     big = np.full(4, 100.0)
     optimizer_step(params, {"w": big}, state, lr=0.1, clip_norm=1.0)

@@ -358,6 +358,8 @@ def test_stage3_early_stop_restores_the_best_params(env, monkeypatch):
     assert ck.meta["sweeps_run"] == 3  # stopped after the third dev check
     assert ck.meta["best_dev"] == 10.0
     assert params_equal(params, seen[0])  # best snapshot restored
+    for t in params.tensors.values():  # ... in place, into the one store
+        assert np.shares_memory(t.data, params.flat)
 
 
 # ---------------------------------------------------------------------------
