@@ -29,9 +29,10 @@ import tempfile
 
 import numpy as np
 
+from .config import OPTIMIZERS
 from .errors import CheckpointError
 from .model import ModelParams
-from .optim import OptimState
+from .optim import BETA1, BETA2, EPS, OptimState
 
 MAGIC = b"MUNM"
 VERSION = 1
@@ -93,8 +94,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     if ckpt.opt is not None:
         o = ckpt.opt
         opt_header = {
-            "kind": o.kind, "step": o.step, "beta1": o.beta1,
-            "beta2": o.beta2, "eps": o.eps, "names": list(ckpt.params.arrays),
+            "kind": o.kind, "step": o.step, "beta1": BETA1,
+            "beta2": BETA2, "eps": EPS, "names": list(ckpt.params.arrays),
         }
         tensors.append(("optim/m", o.m))
         tensors.append(("optim/v", o.v))
@@ -168,6 +169,16 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
 
     oh = header.get("optimizer")
     if oh is not None:
+        missing = [k for k in ("kind", "step", "names", "beta1", "beta2", "eps")
+                   if k not in oh]
+        if missing:
+            raise CheckpointError(f"{path}: optimizer header missing {missing}")
+        if oh["kind"] not in OPTIMIZERS:
+            raise CheckpointError(f"{path}: unknown optimizer kind {oh['kind']!r}")
+        if (oh["beta1"], oh["beta2"], oh["eps"]) != (BETA1, BETA2, EPS):
+            raise CheckpointError(
+                f"{path}: optimizer betas/eps {oh['beta1']}, {oh['beta2']}, "
+                f"{oh['eps']} differ from {BETA1}, {BETA2}, {EPS}")
         for aux in ("optim/m", "optim/v"):
             if aux not in tensors:
                 raise CheckpointError(f"{path}: optimizer header present but {aux} missing")
@@ -180,8 +191,7 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
     if oh is not None:
         if m.shape != params.flat.shape or v.shape != params.flat.shape:
             raise CheckpointError(f"{path}: optimizer buffer size mismatch")
-        opt = OptimState(kind=oh["kind"], m=m, v=v, step=int(oh["step"]),
-                         beta1=oh["beta1"], beta2=oh["beta2"], eps=oh["eps"])
+        opt = OptimState(kind=oh["kind"], m=m, v=v, step=int(oh["step"]))
 
     return Checkpoint(params, opt, header["stage"], header["step"],
                       header.get("vocab_digest", ""), header.get("config_digest", ""),

@@ -16,15 +16,15 @@ import sys
 import time
 from dataclasses import asdict
 
-from .config import apply_overrides, from_dict
+from .config import apply_overrides, from_dict, read_config_doc
 from .checkpoint import load_checkpoint
+from .corpus import load_manifest
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, format_report, write_report
 from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, build_context,
                        generate_benchmark, generate_synthetic, load_entries,
                        run_pipeline, run_stage1, run_stage2, run_stage3,
                        save_resolved_config)
-from .synthlang import BenchmarkConfig
 
 ARMS = ("no-synthetic", "single-aux", "bt-only")
 
@@ -37,18 +37,10 @@ DEFAULT_FROM = {("synth-bt", "1"): "stage1.ckpt",
 
 
 def _config(args):
-    doc = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {args.config}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
+    doc = read_config_doc(args.config) if args.config else {}
     doc = apply_overrides(doc, args.override)
     if args.seed is not None:
-        doc["seed"] = args.seed
+        doc["seed"] = args.seed  # --seed wins over every --override
     return from_dict(doc)
 
 
@@ -243,7 +235,7 @@ def cmd_pipeline(args):
 def _single_aux_arm(cfg):
     """Keep exactly one auxiliary's parallel data (the alphabetically first
     pivot); every pivot list shrinks to it. Fails if some target never
-    listed that auxiliary."""
+    listed that auxiliary. The dataset ids come from cfg's manifest."""
     all_pivots = sorted({a for pl in cfg.pivots.values() for a in pl})
     keep = all_pivots[0]
     bad = [t for t, pl in cfg.pivots.items() if keep not in pl]
@@ -252,21 +244,17 @@ def _single_aux_arm(cfg):
             f"single-aux arm keeps {keep!r}, but targets {bad} do not pivot "
             "through it")
     cfg.pivots = {t: [keep] for t in cfg.pivots}
-    if cfg.manifest:
-        from .corpus import load_manifest
-        languages, entries = load_manifest(cfg.manifest)
-        drop = tuple(e["id"] for e in entries
-                     if e["kind"] == "parallel" and not e.get("synthetic")
-                     and keep not in (e["src"], e["tgt"]))
-    else:
-        aux = dict(cfg.benchmark).get("auxiliaries",
-                                      BenchmarkConfig(out_dir="_x").auxiliaries)
-        drop = tuple(f"parallel.{a}-en" for a in aux if a != keep)
+    _, entries = load_manifest(cfg.manifest)
+    drop = tuple(e["id"] for e in entries
+                 if e["kind"] == "parallel" and not e.get("synthetic")
+                 and keep not in (e["src"], e["tgt"]))
     return ArmOptions(drop_datasets=drop)
 
 
 def cmd_ablate(args):
     cfg = _config(args)
+    if not cfg.manifest:
+        generate_benchmark(cfg, args.out)
     if args.arm == "no-synthetic":
         arm = ArmOptions(use_synthetic=False)
     elif args.arm == "bt-only":

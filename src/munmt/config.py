@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
 from .synthlang import BenchmarkConfig
 
 SCHEMA_VERSION = 1
+OPTIMIZERS = ("adam", "adamax")
 
 
 @dataclass
@@ -45,7 +46,7 @@ class StageSpec:
     def validate(self, where, bad):
         if self.steps < 0:
             bad.append(f"{where}.steps must be >= 0, got {self.steps}")
-        if self.optimizer not in ("adam", "adamax"):
+        if self.optimizer not in OPTIMIZERS:
             bad.append(f"{where}.optimizer must be adam or adamax, got {self.optimizer!r}")
         if self.weight_decay < 0:
             bad.append(f"{where}.weight_decay must be >= 0")
@@ -72,7 +73,7 @@ class Stage3Spec:
     def validate(self, where, bad):
         if self.sweeps < 0:
             bad.append(f"{where}.sweeps must be >= 0")
-        if self.optimizer not in ("adam", "adamax"):
+        if self.optimizer not in OPTIMIZERS:
             bad.append(f"{where}.optimizer must be adam or adamax")
         if not (self.lr_divisor > 0):
             bad.append(f"{where}.lr_divisor must be > 0")
@@ -193,13 +194,6 @@ class ExperimentConfig:
         return self
 
 
-_SECTIONS = {
-    "model": ModelSpec, "stage1": StageSpec, "stage2a": StageSpec,
-    "stage2b": StageSpec, "stage3": Stage3Spec, "synthetic": SyntheticSpec,
-    "eval": EvalSpec,
-}
-
-
 def _scalar_ok(ann: str, val) -> bool:
     """Type gate for untrusted (file/override) values, keyed on the field's
     annotation string. Bools are not ints here, unlike in Python."""
@@ -219,54 +213,38 @@ def _scalar_ok(ann: str, val) -> bool:
     return True
 
 
-def _build(cls, doc: dict, where: str, bad: list):
-    known = {f.name: f for f in fields(cls)}
+def _build(default, doc, where: str, bad: list):
+    """A copy of `default` with the keys `doc` gives replaced. A field whose
+    default is a dataclass is built the same way from that default, so a
+    partial section keeps the defaults of the keys it omits."""
+    if not isinstance(doc, dict):
+        bad.append(f"{where} must be an object")
+        return default
+    known = {f.name: f for f in fields(default)}
     kwargs = {}
     for key, val in doc.items():
+        path = f"{where}.{key}" if where else key
         if key not in known:
-            bad.append(f"unknown key {where}.{key}" if where else f"unknown key {key}")
-            continue
-        if cls is StageSpec and key == "lr":
-            if isinstance(val, dict):
-                kwargs[key] = _build(LrSpec, val, f"{where}.lr", bad)
-            else:
-                bad.append(f"{where}.lr must be an object")
+            bad.append(f"unknown key {path}")
+        elif is_dataclass(getattr(default, key)):
+            kwargs[key] = _build(getattr(default, key), val, path, bad)
         elif not _scalar_ok(known[key].type, val):
-            bad.append(f"{where}.{key} must be {known[key].type}, got {val!r}")
+            bad.append(f"{path} must be {known[key].type}, got {val!r}")
         else:
             kwargs[key] = val
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        bad.append(f"{where or 'config'}: {e}")
-        return cls()
+    return replace(default, **kwargs)
 
 
 def from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config; unknown keys are errors."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    bad = []
     doc = dict(doc)
     doc.pop("schema_version", None)
-    kwargs = {}
-    top = {f.name: f for f in fields(ExperimentConfig)}
-    for key, val in doc.items():
-        if key not in top:
-            bad.append(f"unknown key {key}")
-            continue
-        if key in _SECTIONS:
-            if isinstance(val, dict):
-                kwargs[key] = _build(_SECTIONS[key], val, key, bad)
-            else:
-                bad.append(f"{key} must be an object")
-        elif not _scalar_ok(top[key].type, val):
-            bad.append(f"{key} must be {top[key].type}, got {val!r}")
-        else:
-            kwargs[key] = val
+    bad = []
+    cfg = _build(ExperimentConfig(), doc, "", bad)
     if bad:
         raise ConfigError(bad)
-    cfg = ExperimentConfig(**kwargs)
     return cfg.validate()
 
 
@@ -276,15 +254,19 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_doc(path) -> dict:
+    """The raw JSON document of a config file, before overrides and checks."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    return from_dict(doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return from_dict(read_config_doc(path))
 
 
 def parse_override(text: str):

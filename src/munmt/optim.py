@@ -1,5 +1,7 @@
 """Adam/Adamax with decoupled weight decay, and the linear warmup/decay schedule.
 
+The schedule reads a `config.LrSpec`; the Adam betas and epsilon are fixed.
+
 The optimizer is a pure function of (params, grads, state, lr, weight_decay):
 identical inputs give bit-identical outputs. The parameter layout belongs to
 `ModelParams`: the optimizer updates its flat buffer in place, and the moment
@@ -13,44 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import OPTIMIZERS, LrSpec
 from .errors import ConfigError, NumericError
 from .model import ModelParams
 
 
-@dataclass
-class LrSchedule:
-    """Linear warmup 0 -> peak over `warmup_steps`, then linear decay to 0 at `total_steps`."""
-
-    peak: float = 0.0002
-    warmup_steps: int = 4000
-    total_steps: int = 1_200_000
-
-    def validate(self):
-        bad = []
-        if not (self.peak > 0):
-            bad.append(f"lr peak must be > 0, got {self.peak}")
-        if self.warmup_steps < 0:
-            bad.append(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if self.total_steps < self.warmup_steps:
-            bad.append(
-                f"total_steps ({self.total_steps}) must be >= warmup_steps ({self.warmup_steps})"
-            )
-        if bad:
-            raise ConfigError(bad)
-        return self
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-def lr_at(sched: LrSchedule, step: int) -> float:
-    """Learning rate at optimizer step `step` (0-based). Clamps to 0 past the end."""
+def lr_at(lr: LrSpec, step: int) -> float:
+    """Learning rate at optimizer step `step` (0-based): linear warmup 0 -> peak
+    over `lr.warmup` steps, then linear decay to 0 at `lr.total`. Clamps to 0
+    past the end."""
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
-    peak = float(sched.peak)
-    if sched.warmup_steps > 0 and step < sched.warmup_steps:
-        return peak * (step / sched.warmup_steps)
-    span = sched.total_steps - sched.warmup_steps
+    peak = float(lr.peak)
+    if lr.warmup > 0 and step < lr.warmup:
+        return peak * (step / lr.warmup)
+    span = lr.total - lr.warmup
     if span <= 0:
-        return peak if step <= sched.total_steps else 0.0
-    frac = (sched.total_steps - step) / span
+        return peak if step <= lr.total else 0.0
+    frac = (lr.total - step) / span
     if frac <= 0.0:
         return 0.0
     if frac >= 1.0:
@@ -67,19 +54,14 @@ class OptimState:
     m: np.ndarray
     v: np.ndarray  # second moment (adam) or infinity norm (adamax)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("adam", "adamax"):
+        if self.kind not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
 
     @classmethod
-    def init(cls, params: ModelParams, kind: str = "adam", beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "OptimState":
-        return cls(kind=kind, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
-                   step=0, beta1=beta1, beta2=beta2, eps=eps)
+    def init(cls, params: ModelParams, kind: str = "adam") -> "OptimState":
+        return cls(kind=kind, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def optimizer_step(params: ModelParams, grads: dict, state: OptimState, lr: float,
@@ -101,7 +83,7 @@ def optimizer_step(params: ModelParams, grads: dict, state: OptimState, lr: floa
 
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = BETA1, BETA2, EPS
 
     if weight_decay:
         p *= 1.0 - lr * weight_decay

@@ -28,7 +28,7 @@ from .evaluation import evaluate_model, translate_corpus, write_report
 from .model import ModelConfig, ModelParams, init_params
 from .objectives import (back_translation_loss, cross_entropy_loss,
                          cross_translation_loss, mass_loss)
-from .optim import LrSchedule, OptimState, lr_at, optimizer_step
+from .optim import OptimState, lr_at, optimizer_step
 from .rng import named_rng
 from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
 from .tokenizer import save_vocab, train_bpe, vocab_digest
@@ -194,7 +194,10 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
     policy = SamplingPolicy(ctx.cfg.p_parallel, ctx.cfg.temperature).validate()
     if opt is None:
         opt = OptimState.init(params, kind=spec.optimizer)
-    sched = LrSchedule(spec.lr.peak, spec.lr.warmup, spec.lr.total).validate()
+    bad = []
+    spec.lr.validate(label, bad)
+    if bad:
+        raise ConfigError(bad)
     mcfg = ctx.model_cfg
     interval = spec.checkpoint_interval
 
@@ -221,7 +224,7 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                                          batch.src_ids, batch.src_lang)
                 loss = T.add(fwd, rev)
                 obj, src_l, tgt_l = "ce2", batch.src_lang, batch.tgt_lang
-            val = _update(params, opt, loss, lr_at(sched, t), spec,
+            val = _update(params, opt, loss, lr_at(spec.lr, t), spec,
                           f"{label} step {t} (dataset {ds.id})")
             audit.note(t, ds.id, obj, src_l, tgt_l, val)
             done = t + 1
@@ -627,15 +630,12 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     if not quiet:
         print(f"[vocab] training BPE ({cfg.vocab_size} pieces) on "
               f"{len(lines)} lines", flush=True)
-    vocab = train_bpe(lines, cfg.vocab_size, seed=cfg.seed)
+    vocab = train_bpe(lines, cfg.vocab_size)
     vocab_path = os.path.join(out_dir, "vocab.txt")
     save_vocab(vocab, vocab_path)
 
     mcfg = ModelConfig(languages=[l.name for l in languages],
-                       vocab_size=vocab.size, layers=cfg.model.layers,
-                       hidden=cfg.model.hidden, ffn=cfg.model.ffn,
-                       heads=cfg.model.heads,
-                       max_positions=cfg.model.max_positions).validate()
+                       vocab_size=vocab.size, **asdict(cfg.model)).validate()
     return RunContext(cfg, mcfg, vocab, manifest_path, out_dir,
                       vocab_digest(vocab_path), config_digest(cfg), quiet)
 

@@ -52,15 +52,13 @@ class Vocab:
         return len(self.pieces)
 
 
-def train_bpe(corpora, vocab_size: int, seed: int = 0) -> Vocab:
+def train_bpe(corpora, vocab_size: int) -> Vocab:
     """Learn a joint BPE vocabulary of exactly `vocab_size` pieces (or fewer
     if the corpus runs out of mergeable pairs).
 
     `corpora` is an iterable of text lines (already mixed across languages).
-    `seed` is accepted for interface uniformity; greedy training is fully
-    deterministic and never draws from it.
+    Greedy training is fully deterministic.
     """
-    del seed
     freqs = {}
     for line in corpora:
         line = normalize(line)

@@ -1,5 +1,8 @@
 """Checkpoint format: roundtrip fidelity and corruption detection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,21 @@ from munmt.optim import OptimState
 def cfg():
     return ModelConfig(languages=["en", "xa"], vocab_size=17, layers=1,
                        hidden=8, ffn=16, heads=2, max_positions=16)
+
+
+def _header(path):
+    """The JSON header of the checkpoint at `path`, and the bytes after it."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    return json.loads(raw[10:10 + hlen]), raw[10 + hlen:]
+
+
+def _rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the checkpoint at `path` in place."""
+    header, records = _header(path)
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(path.read_bytes()[:6] + struct.pack("<I", len(blob)) + blob + records)
 
 
 def test_roundtrip_bit_identical(tmp_path):
@@ -31,7 +49,7 @@ def test_roundtrip_bit_identical(tmp_path):
 
 def test_roundtrip_preserves_optimizer_state(tmp_path):
     params = init_params(cfg(), seed=4)
-    opt = OptimState.init(params, kind="adamax", beta1=0.88, beta2=0.97, eps=2e-8)
+    opt = OptimState.init(params, kind="adamax")
     opt.m[:] = np.linspace(-1, 1, opt.m.size, dtype=np.float32)
     opt.v[:] = np.linspace(0, 2, opt.v.size, dtype=np.float32)
     opt.step = 7
@@ -39,7 +57,8 @@ def test_roundtrip_preserves_optimizer_state(tmp_path):
     save_checkpoint(Checkpoint(params, opt, "2a", 9), p)
     back = load_checkpoint(p)
     assert back.opt.kind == "adamax" and back.opt.step == 7
-    assert back.opt.beta1 == 0.88 and back.opt.beta2 == 0.97 and back.opt.eps == 2e-8
+    oh = _header(p)[0]["optimizer"]
+    assert (oh["beta1"], oh["beta2"], oh["eps"]) == (0.9, 0.999, 1e-8)
     np.testing.assert_array_equal(back.opt.m, opt.m)
     np.testing.assert_array_equal(back.opt.v, opt.v)
     for a in back.params.arrays.values():
@@ -52,6 +71,30 @@ def test_wrongly_sized_second_moment_rejected(tmp_path):
     opt.v = np.zeros(5, dtype=np.float32)
     p = tmp_path / "v5.ckpt"
     save_checkpoint(Checkpoint(params, opt, "1", 3), p)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", None), ("step", None), ("names", None),
+    ("beta1", None), ("beta2", None), ("eps", None),
+    ("kind", "sgd"), ("beta1", 0.88), ("beta2", 0.97), ("eps", 2e-8),
+])
+def test_untrusted_optimizer_header_rejected(tmp_path, key, value):
+    """A missing key, an unknown kind, or betas/eps other than the optimizer's
+    constants: the header is refused (value None removes the key)."""
+    params = init_params(cfg(), seed=4)
+    p = tmp_path / "oh.ckpt"
+    save_checkpoint(Checkpoint(params, OptimState.init(params, kind="adam"), "1", 3), p)
+    load_checkpoint(p)
+
+    def edit(header):
+        if value is None:
+            del header["optimizer"][key]
+        else:
+            header["optimizer"][key] = value
+
+    _rewrite_header(p, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
 

@@ -10,6 +10,7 @@ from munmt.checkpoint import load_checkpoint
 from munmt.cli import _single_aux_arm, main
 from munmt.config import from_dict
 from munmt.corpus import load_manifest
+from munmt.pipeline import generate_benchmark
 
 CFG_DOC = {
     "seed": 11, "vocab_size": 200, "batch_size": 4,
@@ -224,7 +225,7 @@ def test_ablate_no_synthetic(chain, tmp_path):
     assert (out / "summary.json").exists()
 
 
-def test_single_aux_arm_trims_pivots_and_drops_parallel(chain):
+def test_single_aux_arm_trims_pivots_and_drops_parallel(chain, tmp_path):
     root, cfg_path, out, _ = chain
     doc = copy.deepcopy(CFG_DOC)
     doc["pivots"] = {"xa": ["aa", "ab"]}
@@ -234,10 +235,23 @@ def test_single_aux_arm_trims_pivots_and_drops_parallel(chain):
     arm = _single_aux_arm(cfg)
     assert arm.drop_datasets == ("parallel.ab-en",)
     assert cfg.pivots == {"xa": ["aa"]}
-    # benchmark-convention fallback when no manifest is named yet
-    cfg2 = from_dict({k: v for k, v in doc.items()
-                      if k not in ("manifest", "testsets")})
-    assert _single_aux_arm(cfg2).drop_datasets == ("parallel.ab-en",)
+    # without a manifest, ablate generates the benchmark first, as here; the
+    # ids come from that manifest, whatever English is called
+    doc = {k: v for k, v in doc.items() if k not in ("manifest", "testsets")}
+    doc["benchmark"] = dict(doc["benchmark"], base_name="zz")
+    cfg2 = from_dict(doc)
+    generate_benchmark(cfg2, str(tmp_path))
+    assert _single_aux_arm(cfg2).drop_datasets == ("parallel.ab-zz",)
+
+
+def test_single_aux_arm_ablation_with_another_base_name(chain, tmp_path):
+    root, cfg_path, _, _ = chain
+    out = tmp_path / "oneaux"
+    assert main(["ablate", "--arm", "single-aux", "--config", str(cfg_path),
+                 "--out", str(out), "--quiet",
+                 "--override", "benchmark.base_name=zz"]) == 0
+    _, entries = load_manifest(str(out / "manifest.filtered.json"))
+    assert [e["id"] for e in entries if e["kind"] == "parallel"] == ["parallel.aa-zz"]
 
 
 def test_single_aux_arm_rejects_unbridged_targets():

@@ -1,6 +1,7 @@
 """Config parsing, override grammar, digest stability."""
 
 import json
+from dataclasses import is_dataclass
 
 import pytest
 
@@ -55,6 +56,21 @@ def test_nested_stage_parsing():
     assert cfg.stage1.lr.peak == 0.01
     assert cfg.stage2a.steps == 5000  # untouched section keeps defaults
     assert cfg.stage3.sweeps == 3
+
+
+@pytest.mark.parametrize("name", [name for name, val in vars(ExperimentConfig()).items()
+                                  if is_dataclass(val)])
+def test_empty_section_keeps_the_experiment_defaults(name):
+    assert getattr(from_dict({name: {}}), name) == getattr(ExperimentConfig(), name)
+
+
+@pytest.mark.parametrize("lr, fragment", [
+    ({"peak": -1.0}, "stage1.lr.peak"),
+    ({"peak": 0.1, "warmup": 100, "total": 10}, "stage1.lr.total"),
+])
+def test_bad_schedule_rejected(lr, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        from_dict({"stage1": {"lr": lr}})
 
 
 def test_pivot_validation():

@@ -121,6 +121,15 @@ def test_non_finite_loss_raises_with_location(env):
         run_algorithm1(ctx, params, datasets, "stage1", spec, "1")
 
 
+def test_schedule_built_in_code_is_checked_like_a_config(env):
+    ctx = ctx_at(env, "badlr")
+    _, datasets = ctx.registry()
+    params = init_params(ctx.model_cfg, 7)
+    spec = StageSpec(steps=3, lr=LrSpec(peak=5e-4, warmup=5, total=2))
+    with pytest.raises(ConfigError, match="stage1.lr.total must be >= warmup"):
+        run_algorithm1(ctx, params, datasets, "stage1", spec, "1")
+
+
 def test_mid_checkpoints_and_exact_resume(env):
     ctx_a = ctx_at(env, "full")
     ck_full = run_stage1(ctx_a)  # checkpoint_interval=2, steps=6
