@@ -10,7 +10,6 @@ filenames, and verifies digests on every load. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -22,9 +21,9 @@ from .corpus import load_manifest
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, format_report, write_report
 from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, build_context,
-                       generate_benchmark, generate_synthetic, load_entries,
-                       run_pipeline, run_stage1, run_stage2, run_stage3,
-                       save_resolved_config)
+                       generate_benchmark, generate_synthetic, run_pipeline,
+                       run_stage1, run_stage2, run_stage3, save_resolved_config,
+                       save_run_meta, stage_entries, synthetic_rounds)
 
 ARMS = ("no-synthetic", "single-aux", "bt-only")
 
@@ -42,13 +41,6 @@ def _config(args):
     if args.seed is not None:
         doc["seed"] = args.seed  # --seed wins over every --override
     return from_dict(doc)
-
-
-def _finish(out_dir, command, started):
-    with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"command": command, "started": started,
-                   "finished": time.time()}, fh, indent=1)
-        fh.write("\n")
 
 
 def _context(args):
@@ -90,23 +82,6 @@ def _from_path(args, command, variant=None):
     return os.path.join(args.out, DEFAULT_FROM[(command, variant)])
 
 
-def _synth_entries(ctx, round_label):
-    synth_dir = os.path.join(ctx.out_dir, "synthetic")
-
-    def need(n):
-        p = os.path.join(synth_dir, f"r{n}.entries.json")
-        if not os.path.exists(p):
-            raise DataError(f"{p} not found: run synth-bt --round {n} first")
-        return load_entries(p)
-
-    if round_label == "a":
-        return need(1)
-    entries = need(2)
-    if ctx.cfg.synthetic.keep_round1:
-        entries = entries + need(1)
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -122,7 +97,7 @@ def cmd_synth_data(args):
         save_resolved_config(cfg, args.out)
         print(f"manifest: {cfg.manifest}")
         print(f"testsets: {cfg.testsets}")
-    _finish(args.out, "synth-data", started)
+    save_run_meta(args.out, started, command="synth-data")
     return 0
 
 
@@ -131,7 +106,7 @@ def cmd_train_vocab(args):
     ctx = _context(args)
     print(f"vocab: {os.path.join(args.out, 'vocab.txt')} "
           f"({ctx.vocab.size} pieces, digest {ctx.vocab_digest})")
-    _finish(args.out, "train-vocab", started)
+    save_run_meta(args.out, started, command="train-vocab")
     return 0
 
 
@@ -145,7 +120,7 @@ def cmd_stage1(args):
         final = run_stage1(ctx)
     print(f"stage1 done at step {final.step}: "
           f"{os.path.join(args.out, 'stage1.ckpt')}")
-    _finish(args.out, "stage1", started)
+    save_run_meta(args.out, started, command="stage1")
     return 0
 
 
@@ -156,7 +131,7 @@ def cmd_synth_bt(args):
     entries = generate_synthetic(ctx, ck.params, int(args.round))
     print(f"round {args.round}: {len(entries)} synthetic datasets under "
           f"{os.path.join(args.out, 'synthetic')}")
-    _finish(args.out, "synth-bt", started)
+    save_run_meta(args.out, started, command="synth-bt")
     return 0
 
 
@@ -164,7 +139,7 @@ def cmd_stage2(args):
     started = time.time()
     ctx = _context(args)
     label = f"stage2{args.round}"
-    entries = _synth_entries(ctx, args.round)
+    entries = stage_entries(ctx, label)
     if args.resume:
         ck = _resume_ckpt(ctx, args.resume, label)
         final = run_stage2(ctx, ck.params, label, entries,
@@ -174,16 +149,15 @@ def cmd_stage2(args):
         final = run_stage2(ctx, ck.params, label, entries)
     print(f"{label} done at step {final.step}: "
           f"{os.path.join(args.out, label + '.ckpt')}")
-    _finish(args.out, label, started)
+    save_run_meta(args.out, started, command=label)
     return 0
 
 
 def cmd_stage3(args):
     started = time.time()
     ctx = _context(args)
-    synth_dir = os.path.join(args.out, "synthetic")
-    if os.path.exists(os.path.join(synth_dir, "r2.entries.json")):
-        entries = _synth_entries(ctx, "b")
+    if os.path.exists(synthetic_rounds(ctx, "r2")[2]):
+        entries = stage_entries(ctx, "stage3")
     else:
         entries = []
         ctx.say("[stage3] no synthetic entries found; training bt/ct only")
@@ -191,7 +165,7 @@ def cmd_stage3(args):
     final = run_stage3(ctx, ck.params, entries)
     print(f"stage3 done after {final.meta['sweeps_run']} sweeps: "
           f"{os.path.join(args.out, 'stage3.ckpt')}")
-    _finish(args.out, "stage3", started)
+    save_run_meta(args.out, started, command="stage3")
     return 0
 
 
@@ -212,7 +186,7 @@ def cmd_evaluate(args):
                  os.path.join(args.out, f"report.{stem}.{args.split}.tsv"),
                  os.path.join(args.out, f"report.{stem}.{args.split}.json"))
     print(format_report(rows), end="")
-    _finish(args.out, "evaluate", started)
+    save_run_meta(args.out, started, command="evaluate")
     return 0
 
 

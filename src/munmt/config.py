@@ -153,6 +153,12 @@ class ExperimentConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     eval: EvalSpec = field(default_factory=EvalSpec)
 
+    @property
+    def piece_limit(self) -> int:
+        """The longest corpus line, in pieces, a run trains on: max_pieces,
+        capped by the model's position table (BOS/EOS take two slots)."""
+        return min(self.max_pieces, self.model.max_positions - 2)
+
     def validate(self) -> "ExperimentConfig":
         bad = []
         if self.vocab_size < 6:
@@ -182,12 +188,14 @@ class ExperimentConfig:
         self.stage3.validate("stage3", bad)
         self.synthetic.validate("synthetic", bad)
         self.eval.validate("eval", bad)
-        if self.benchmark:
+        if self.benchmark or self.manifest is None:  # the run generates it
             try:
-                BenchmarkConfig(out_dir="_probe", **self.benchmark).validate()
-            except ConfigError as e:
-                bad.append(f"benchmark: {e}")
-            except TypeError as e:
+                bench = BenchmarkConfig(out_dir="_probe", **self.benchmark).validate()
+                if bench.max_line_pieces > self.piece_limit:
+                    bad.append(f"benchmark lines can reach {bench.max_line_pieces} "
+                               f"pieces, over the run's {self.piece_limit}-piece limit "
+                               "(max_pieces, or model.max_positions - 2)")
+            except (ConfigError, TypeError) as e:
                 bad.append(f"benchmark: {e}")
         if bad:
             raise ConfigError(bad)
@@ -240,8 +248,10 @@ def from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = dict(doc)
-    doc.pop("schema_version", None)
     bad = []
+    version = doc.pop("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION or not _scalar_ok("int", version):
+        bad.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     cfg = _build(ExperimentConfig(), doc, "", bad)
     if bad:
         raise ConfigError(bad)

@@ -211,28 +211,38 @@ def load_manifest(path):
         languages.append(LanguageId(name, bool(entry.get("english")), bool(entry.get("target"))))
     if sum(1 for l in languages if l.is_english) != 1:
         problems.append("manifest must declare exactly one English language")
-    ids = set()
     entries = doc.get("datasets", [])
+    problems += entry_problems(entries, languages)
+    if problems:
+        raise DataError("; ".join(problems))
+    return languages, entries
+
+
+def entry_problems(entries, languages, taken=()) -> list:
+    """What is wrong with each dataset entry, wherever it was read from: a
+    missing id or one already used (here or in `taken`), an unknown kind, a
+    language not in `languages`, or a missing path."""
+    names = {l.name for l in languages}
+    ids = set(taken)
+    problems = []
     for entry in entries:
-        did = entry.get("id")
+        did = entry.get("id") if isinstance(entry, dict) else None
         if not did or did in ids:
             problems.append(f"bad or duplicate dataset id {entry!r}")
             continue
         ids.add(did)
         kind = entry.get("kind")
         if kind == "mono":
-            if entry.get("lang") not in seen or not entry.get("path"):
+            if entry.get("lang") not in names or not entry.get("path"):
                 problems.append(f"mono dataset {did} needs a known lang and a path")
         elif kind == "parallel":
-            if entry.get("src") not in seen or entry.get("tgt") not in seen:
+            if entry.get("src") not in names or entry.get("tgt") not in names:
                 problems.append(f"parallel dataset {did} has unknown languages")
             if not entry.get("src_path") or not entry.get("tgt_path"):
                 problems.append(f"parallel dataset {did} needs src_path and tgt_path")
         else:
             problems.append(f"dataset {did} has unknown kind {kind!r}")
-    if problems:
-        raise DataError("; ".join(problems))
-    return languages, entries
+    return problems
 
 
 def save_manifest(path, languages, entries) -> None:

@@ -77,7 +77,7 @@ def _tokenize_all(lines, mode: str):
     raise ConfigError(f"unknown tokenization mode {mode!r}")
 
 
-def bleu(hyps, refs, mode: str = "13a") -> BleuScore:
+def bleu(hyps, refs, mode: str) -> BleuScore:
     if len(hyps) != len(refs):
         raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
@@ -140,7 +140,7 @@ def parse_direction(direction: str, cfg: ModelConfig):
 
 
 def translate_corpus(params, cfg: ModelConfig, vocab: Vocab, lines, tgt_lang: str,
-                     max_len: int = 64, batch_size: int = 64) -> list:
+                     max_len: int, batch_size: int = 64) -> list:
     """Greedy-decode every line into tgt_lang; returns detokenized strings.
     Sources longer than the position table are truncated, never dropped, and
     blank sources translate to "" without decoding: every input line gets
@@ -157,9 +157,8 @@ def translate_corpus(params, cfg: ModelConfig, vocab: Vocab, lines, tgt_lang: st
     return out
 
 
-def evaluate_model(params, cfg: ModelConfig, vocab: Vocab, testsets,
-                   mode: str = "pretokenized", max_len: int = 64,
-                   batch_size: int = 64) -> list:
+def evaluate_model(params, cfg: ModelConfig, vocab: Vocab, testsets, mode: str,
+                   max_len: int, batch_size: int) -> list:
     """testsets: iterable of (src_lines, ref_lines, direction)."""
     rows = []
     for src_lines, ref_lines, direction in testsets:

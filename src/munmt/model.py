@@ -10,11 +10,12 @@ else is shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import ModelSpec
 from .errors import ConfigError, DataError
 from .rng import named_rng
 from .tokenizer import BOS, EOS, PAD
@@ -22,15 +23,13 @@ from .tokenizer import BOS, EOS, PAD
 NEG = -1e9  # additive mask value; exp() underflows to exactly 0 after shift
 
 
-@dataclass
-class ModelConfig:
+@dataclass(kw_only=True)
+class ModelConfig(ModelSpec):
+    """The config's model section plus what the data fixes: the languages
+    and the vocabulary size."""
+
     languages: list  # language names; index order defines embedding rows
     vocab_size: int
-    layers: int = 2
-    hidden: int = 64
-    ffn: int = 256
-    heads: int = 4
-    max_positions: int = 64
 
     def validate(self):
         bad = []
@@ -38,14 +37,7 @@ class ModelConfig:
             bad.append("languages must be non-empty and unique")
         if self.vocab_size < 6:
             bad.append(f"vocab_size must cover the specials, got {self.vocab_size}")
-        if self.layers < 1:
-            bad.append(f"layers must be >= 1, got {self.layers}")
-        if self.hidden < 1 or self.ffn < 1:
-            bad.append("hidden and ffn must be >= 1")
-        if self.heads < 1 or self.hidden % self.heads != 0:
-            bad.append(f"heads must divide hidden ({self.hidden}/{self.heads})")
-        if self.max_positions < 2:
-            bad.append("max_positions must be >= 2")
+        super().validate("model", bad)
         if bad:
             raise ConfigError(bad)
         return self
@@ -288,7 +280,7 @@ def forward_logits(params, cfg, src_ids, dec_ids, tgt_lang) -> T.Tensor:
 
 
 def greedy_decode_batch(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarray,
-                        tgt_lang: str, max_len: int = 32):
+                        tgt_lang: str, max_len: int):
     """Greedy decode every row of a padded source batch.
 
     Returns a list of int lists: generated ids up to and including EOS when
@@ -317,12 +309,6 @@ def greedy_decode_batch(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarr
                 break
             rows = np.concatenate([rows, step.reshape(B, 1).astype(np.int32)], axis=1)
     return outs
-
-
-def greedy_decode(params, cfg, src: np.ndarray, tgt_lang: str, max_len: int = 32):
-    """Single-sentence greedy decode; `src` is a 1-D id array."""
-    src = np.asarray(src).reshape(1, -1)
-    return greedy_decode_batch(params, cfg, src, tgt_lang, max_len)[0]
 
 
 def strip_body(ids) -> list:

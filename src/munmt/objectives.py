@@ -157,7 +157,7 @@ def _decode_then_score(params, cfg, src_rows, tgt_rows, via_lang: str,
 
 
 def back_translation_loss(params, cfg, batch, x_lang: str, via_lang: str,
-                          max_len: int = 32) -> DecodeLossResult:
+                          max_len: int) -> DecodeLossResult:
     """Round-trip loss on mono data: translate x into via_lang with gradients
     off, then score translating that intermediate back into x."""
     if via_lang == x_lang:
@@ -170,7 +170,7 @@ def back_translation_loss(params, cfg, batch, x_lang: str, via_lang: str,
 
 def cross_translation_loss(params, cfg, src_batch, tgt_batch, src_lang: str,
                            tgt_lang: str, via_lang: str,
-                           max_len: int = 32) -> DecodeLossResult:
+                           max_len: int) -> DecodeLossResult:
     """Pivot loss on parallel data (x, y): translate x into a third language
     with gradients off, then score translating that into y."""
     if via_lang in (src_lang, tgt_lang):

@@ -21,8 +21,8 @@ from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_digest, to_dict
 from .corpus import (SamplingPolicy, bucket_batches, build_registry,
-                     choose_dataset, draw_batch, load_dataset, load_manifest,
-                     read_lines, save_manifest)
+                     choose_dataset, draw_batch, entry_problems, load_dataset,
+                     load_manifest, read_lines, save_manifest)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, translate_corpus, write_report
 from .model import ModelConfig, ModelParams, init_params
@@ -39,12 +39,14 @@ STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 @dataclass
 class RunContext:
     """Everything the stage runners share: config, model geometry, vocab,
-    where the data lives, and where artifacts go."""
+    the manifest's languages and dataset entries (read and checked against
+    the pivot table once, by build_context), and where artifacts go."""
 
     cfg: ExperimentConfig
     model_cfg: ModelConfig
     vocab: object
-    manifest_path: str
+    languages: list
+    entries: list
     out_dir: str
     vocab_digest: str = ""
     config_digest: str = ""
@@ -60,22 +62,20 @@ class RunContext:
     def registry(self, extra_entries=None):
         """(languages, datasets): the manifest's corpora, tokenized once per
         context, followed by `extra_entries` (e.g. synthetic rounds), which
-        are tokenized on every call. Each call returns a fresh list."""
-        # the model's position table caps usable length below the corpus filter
-        limit = min(self.cfg.max_pieces, self.model_cfg.max_positions - 2)
+        are checked like manifest entries and tokenized on every call. Each
+        call returns a fresh list."""
+        extra = list(extra_entries or [])
+        problems = entry_problems(extra, self.languages,
+                                  taken={e["id"] for e in self.entries})
+        if problems:
+            raise DataError("; ".join(problems))
+        limit = self.cfg.piece_limit
         if self._registry is None:
-            self._registry = build_registry(self.manifest_path, self.vocab, limit)
+            self._registry = build_registry(self.cfg.manifest, self.vocab, limit)
         languages, datasets = self._registry
-        root = os.path.dirname(os.path.abspath(self.manifest_path))
+        root = os.path.dirname(os.path.abspath(self.cfg.manifest))
         return languages, datasets + [load_dataset(e, root, self.vocab, limit)
-                                      for e in extra_entries or []]
-
-    def stage_spec(self, label: str):
-        specs = {"stage1": self.cfg.stage1, "stage2a": self.cfg.stage2a,
-                 "stage2b": self.cfg.stage2b}
-        if label not in specs:
-            raise ConfigError(f"unknown stage label {label!r}")
-        return specs[label]
+                                      for e in extra]
 
 
 @dataclass
@@ -245,10 +245,8 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
 
 def run_stage1(ctx: RunContext, params: ModelParams | None = None,
                opt: OptimState | None = None, start_step: int = 0) -> Checkpoint:
-    languages, entries = load_manifest(ctx.manifest_path)
-    if any(e.get("synthetic") for e in entries):
+    if any(e.get("synthetic") for e in ctx.entries):
         raise DataError("stage 1 must run before any synthetic data exists")
-    check_manifest_compat(ctx.cfg, languages, entries)
     _, datasets = ctx.registry()
     if params is None:
         params = init_params(ctx.model_cfg, ctx.cfg.seed)
@@ -261,14 +259,13 @@ def run_stage2(ctx: RunContext, params: ModelParams, label: str,
                start_step: int = 0) -> Checkpoint:
     """label is "stage2a" or "stage2b"; extra_entries carries the synthetic
     datasets for this round (and, optionally, kept earlier rounds)."""
-    spec = ctx.stage_spec(label)
-    languages, entries = load_manifest(ctx.manifest_path)
-    check_manifest_compat(ctx.cfg, languages, entries)
-    pool = list(entries) + list(extra_entries or [])
+    if label not in ("stage2a", "stage2b"):
+        raise ConfigError(f"unknown stage label {label!r}")
+    pool = ctx.entries + list(extra_entries or [])
     if not any(e.get("synthetic") for e in pool):
         raise DataError(f"{label} expects at least one synthetic parallel dataset")
     _, datasets = ctx.registry(extra_entries=extra_entries)
-    return run_algorithm1(ctx, params, datasets, label, spec,
+    return run_algorithm1(ctx, params, datasets, label, getattr(ctx.cfg, label),
                           STAGE_TAGS[label], opt=opt, start_step=start_step)
 
 
@@ -322,14 +319,12 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
     X->English. Selection uses one permutation per corpus, so rounds never
     reuse a line. Returns manifest-style entries with absolute paths.
     """
-    if round_idx not in (1, 2):
-        raise ConfigError(f"synthetic round must be 1 or 2, got {round_idx}")
-    languages, entries = load_manifest(ctx.manifest_path)
-    english, targets = _english_and_targets(languages)
-    root = os.path.dirname(os.path.abspath(ctx.manifest_path))
-    mono = {e["lang"]: e for e in entries if e["kind"] == "mono"}
+    path = synthetic_rounds(ctx, f"r{round_idx}")[round_idx]  # rejects other rounds
+    english, targets = _english_and_targets(ctx.languages)
+    root = os.path.dirname(os.path.abspath(ctx.cfg.manifest))
+    mono = {e["lang"]: e for e in ctx.entries if e["kind"] == "mono"}
     syn = ctx.cfg.synthetic
-    os.makedirs(os.path.join(ctx.out_dir, "synthetic"), exist_ok=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
 
     def mono_lines(lang):
         if lang not in mono:
@@ -370,21 +365,40 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
             sel = np.sort(perm[i * m:(i + 1) * m])
             out_entries.append(_synthesize(ctx, params, 2, entry, en_lines, sel, x))
 
-    _write_json(os.path.join(ctx.out_dir, "synthetic", f"r{round_idx}.entries.json"),
-                out_entries)
+    _write_json(path, out_entries)
     return out_entries
 
 
-def load_entries(path):
-    """Read back an entries file written by generate_synthetic."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read entries file {path}: {e}") from None
-    if not isinstance(doc, list):
-        raise DataError(f"{path}: expected a JSON list of dataset entries")
-    return doc
+def synthetic_rounds(ctx: RunContext, label: str) -> dict:
+    """{round: path of its entries file} for the synthetic rounds `label`
+    trains on: stage2a trains round 1; stage2b and stage3 train round 2,
+    plus round 1 when synthetic.keep_round1 is set. The label "r1" or "r2"
+    names that one round, whose file generate_synthetic writes."""
+    later = (2, 1) if ctx.cfg.synthetic.keep_round1 else (2,)
+    rounds = {"r1": (1,), "r2": (2,), "stage2a": (1,), "stage2b": later,
+              "stage3": later}
+    if label not in rounds:
+        raise ConfigError(f"no synthetic rounds for {label!r}")
+    return {n: os.path.join(ctx.out_dir, "synthetic", f"r{n}.entries.json")
+            for n in rounds[label]}
+
+
+def stage_entries(ctx: RunContext, label: str) -> list:
+    """The synthetic dataset entries `label` trains on, read back from the
+    entries files of its rounds (see synthetic_rounds)."""
+    entries = []
+    for n, path in synthetic_rounds(ctx, label).items():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            raise DataError(f"{path} not found: run synth-bt --round {n} first") from None
+        except (OSError, json.JSONDecodeError) as e:
+            raise DataError(f"cannot read entries file {path}: {e}") from None
+        if not isinstance(doc, list):
+            raise DataError(f"{path}: expected a JSON list of dataset entries")
+        entries += doc
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +472,9 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
     parameters are restored.
     """
     spec = ctx.cfg.stage3
-    languages, entries = load_manifest(ctx.manifest_path)
-    check_manifest_compat(ctx.cfg, languages, entries)
-    english, _ = _english_and_targets(languages)
+    english, _ = _english_and_targets(ctx.languages)
     _, datasets = ctx.registry(extra_entries=extra_entries)
-    plan = predict_sweep(languages, datasets, ctx.cfg.pivots, objectives)
+    plan = predict_sweep(ctx.languages, datasets, ctx.cfg.pivots, objectives)
     if not plan:
         raise DataError("stage 3 plan is empty: nothing to train")
     by_id = {ds.id: ds for ds in datasets}
@@ -596,6 +608,12 @@ def save_resolved_config(cfg: ExperimentConfig, out_dir) -> None:
     _write_json(os.path.join(out_dir, "resolved_config.json"), to_dict(cfg))
 
 
+def save_run_meta(out_dir, started: float, **extra) -> None:
+    """Write out_dir/run_meta.json, the one artifact with wall-clock times."""
+    _write_json(os.path.join(out_dir, "run_meta.json"),
+                dict(extra, started=started, finished=time.time()))
+
+
 def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
                   arm: ArmOptions | None = None) -> RunContext:
     """Resolve data, train the vocabulary, and fix the model geometry.
@@ -613,13 +631,12 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
             print(f"[data] building benchmark in {os.path.join(out_dir, 'benchmark')}",
                   flush=True)
         generate_benchmark(cfg, out_dir)
-    manifest_path = cfg.manifest
     if arm.drop_datasets:
-        manifest_path = _filtered_manifest(manifest_path, arm.drop_datasets, out_dir)
-        cfg.manifest = manifest_path
+        cfg.manifest = _filtered_manifest(cfg.manifest, arm.drop_datasets, out_dir)
 
-    languages, entries = load_manifest(manifest_path)
-    root = os.path.dirname(os.path.abspath(manifest_path))
+    languages, entries = load_manifest(cfg.manifest)
+    check_manifest_compat(cfg, languages, entries)
+    root = os.path.dirname(os.path.abspath(cfg.manifest))
     lines = []
     for e in entries:
         if e["kind"] == "mono":
@@ -636,7 +653,7 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
 
     mcfg = ModelConfig(languages=[l.name for l in languages],
                        vocab_size=vocab.size, **asdict(cfg.model)).validate()
-    return RunContext(cfg, mcfg, vocab, manifest_path, out_dir,
+    return RunContext(cfg, mcfg, vocab, languages, entries, out_dir,
                       vocab_digest(vocab_path), config_digest(cfg), quiet)
 
 
@@ -672,33 +689,25 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     run_stage1(ctx, params)
     _report(ctx, params, test_sets, "stage1", scores)
 
-    extras_2b = []
-    if arm.use_synthetic:
-        r1 = generate_synthetic(ctx, params, 1)
-        run_stage2(ctx, params, "stage2a", r1)
-        _report(ctx, params, test_sets, "stage2a", scores)
-        r2 = generate_synthetic(ctx, params, 2)
-        extras_2b = list(r2) + (list(r1) if cfg.synthetic.keep_round1 else [])
-        run_stage2(ctx, params, "stage2b", extras_2b)
-        _report(ctx, params, test_sets, "stage2b", scores)
-    else:
-        # compute-matched ablation: same stage-2 budgets, real data only
-        _, datasets = ctx.registry()
-        run_algorithm1(ctx, params, datasets, "stage2a", cfg.stage2a, "2a")
-        _report(ctx, params, test_sets, "stage2a", scores)
-        run_algorithm1(ctx, params, datasets, "stage2b", cfg.stage2b, "2b")
-        _report(ctx, params, test_sets, "stage2b", scores)
+    for round_idx, label in ((1, "stage2a"), (2, "stage2b")):
+        if arm.use_synthetic:
+            generate_synthetic(ctx, params, round_idx)
+            run_stage2(ctx, params, label, stage_entries(ctx, label))
+        else:  # compute-matched ablation: same stage-2 budgets, real data only
+            _, datasets = ctx.registry()
+            run_algorithm1(ctx, params, datasets, label, getattr(cfg, label),
+                           STAGE_TAGS[label])
+        _report(ctx, params, test_sets, label, scores)
 
-    ck = run_stage3(ctx, params, extras_2b, objectives=arm.stage3_objectives)
+    synthetic = stage_entries(ctx, "stage3") if arm.use_synthetic else []
+    ck = run_stage3(ctx, params, synthetic, objectives=arm.stage3_objectives)
     _report(ctx, params, test_sets, "stage3", scores)
 
     summary = {"stages": scores, "best_dev": ck.meta.get("best_dev"),
                "vocab_digest": ctx.vocab_digest,
                "config_digest": ctx.config_digest,
-               "manifest_digest": _sha16(ctx.manifest_path),
+               "manifest_digest": _sha16(ctx.cfg.manifest),
                "out_dir": os.path.abspath(out_dir)}
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"started": started, "finished": time.time()}, fh, indent=1)
-        fh.write("\n")
+    save_run_meta(out_dir, started)
     return summary

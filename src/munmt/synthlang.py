@@ -285,9 +285,13 @@ class BenchmarkConfig:
             out[name] = t
         return out
 
+    @property
+    def language_names(self) -> list:
+        return [self.base_name] + list(self.auxiliaries) + list(self.targets)
+
     def validate(self):
         bad = []
-        names = [self.base_name] + list(self.auxiliaries) + list(self.targets)
+        names = self.language_names
         if len(set(names)) != len(names):
             bad.append("language names must be distinct (a target listed as an "
                        "auxiliary would receive parallel data)")
@@ -312,14 +316,18 @@ class BenchmarkConfig:
             bad.append(f"noise_dropout must be in [0,1), got {self.noise_dropout}")
         if min(self.mono_lines, self.parallel_lines, self.dev_lines, self.test_lines) < 1:
             bad.append("all line counts must be >= 1")
-        # longest surface: name prefix + decimal rank; +1 for the word marker
-        longest = max(len(n) for n in names) + len(str(self.vocab_types - 1))
-        if self.len_max * (longest + 1) > 88:
-            bad.append(f"len_max {self.len_max} can exceed the 88-piece budget "
-                       f"(longest word {longest} chars)")
         if bad:
             raise ConfigError(bad)
         return self
+
+    @property
+    def max_line_pieces(self) -> int:
+        """The most BPE pieces a generated line can take: len_max words of
+        the longest surface (name prefix + decimal rank), one piece per
+        character plus the word marker."""
+        longest = (max(len(n) for n in self.language_names)
+                   + len(str(self.vocab_types - 1)))
+        return self.len_max * (longest + 1)
 
 
 def _word_dropout(line: str, p: float, rng) -> str:

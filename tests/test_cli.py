@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import shutil
 
 import pytest
 
@@ -178,6 +179,27 @@ def test_missing_manifest_exits_3(tmp_path):
                  "--override", "manifest=/no/such/manifest.json"]) == 3
 
 
+def test_incompatible_pivot_table_exits_2(chain, tmp_path, capsys):
+    root, cfg_path, _, _ = chain
+    assert main(["train-vocab", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o"), "--quiet",
+                 "--override", 'pivots={"xa": ["zz"]}']) == 2
+    assert "not in the manifest" in capsys.readouterr().err
+
+
+def test_malformed_synthetic_entry_exits_3(chain, tmp_path, capsys):
+    root, cfg_path, out, _ = chain
+    run = tmp_path / "run"
+    (run / "synthetic").mkdir(parents=True)
+    shutil.copy(out / "stage1.ckpt", run / "stage1.ckpt")
+    entries = json.loads((out / "synthetic" / "r1.entries.json").read_text())
+    del entries[0]["src_path"]
+    (run / "synthetic" / "r1.entries.json").write_text(json.dumps(entries))
+    assert main(["stage2", "--round", "a", "--config", str(cfg_path),
+                 "--out", str(run), "--quiet"]) == 3
+    assert "needs src_path and tgt_path" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exits_3(chain):
     root, cfg_path, out, _ = chain
     assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
@@ -214,6 +236,21 @@ def test_pipeline_command_prints_stage_scores(chain, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "stage3:" in text and "xa-en=" in text
     assert (out / "summary.json").exists()
+
+
+def test_chain_and_pipeline_keep_round1_alike(chain, tmp_path):
+    root, cfg_path, _, _ = chain
+    keep = ["--config", str(cfg_path), "--quiet",
+            "--override", "synthetic.keep_round1=true"]
+    steps, whole = tmp_path / "steps", tmp_path / "whole"
+    for cmd in CHAIN[:CHAIN.index(["stage3"]) + 1]:
+        assert main(cmd + keep + ["--out", str(steps)]) == 0
+    assert main(["pipeline", "--out", str(whole)] + keep) == 0
+    for label in ("stage2b", "stage3"):
+        audit = f"audit.{label}.tsv"
+        assert (steps / audit).read_bytes() == (whole / audit).read_bytes()
+    # stage 3 sweeps every dataset, so the kept round-1 corpus shows there
+    assert "\tsynth.r1.en-xa\t" in (whole / "audit.stage3.tsv").read_text()
 
 
 def test_ablate_no_synthetic(chain, tmp_path):

@@ -90,6 +90,45 @@ def test_benchmark_section_checked():
         from_dict({"benchmark": {"no_such_knob": 1}})
 
 
+@pytest.mark.parametrize("doc", [
+    # lines of up to 20 * 5 pieces fit 200 pieces and 256 positions
+    {"max_pieces": 200, "model": {"max_positions": 256}, "benchmark": {"len_max": 20}},
+    # 80 pieces fit max_pieces (88) and a position table of 82 (80 + BOS/EOS)
+    {"benchmark": {"len_max": 16}, "model": {"max_positions": 82}},
+    # real data: no benchmark is generated, whatever its defaults
+    {"max_pieces": 20, "manifest": "corpora/manifest.json"},
+])
+def test_benchmark_lines_fit_the_piece_limit(doc):
+    cfg = from_dict(doc)
+    assert cfg.piece_limit == min(cfg.max_pieces, cfg.model.max_positions - 2)
+
+
+@pytest.mark.parametrize("doc", [
+    # 80-piece lines, which the registry would drop at 20 pieces
+    {"max_pieces": 20, "benchmark": {"len_max": 16}},
+    # with no manifest named, the default benchmark's 45-piece lines
+    {"max_pieces": 20},
+    # 100-piece lines against the default 62 (64 positions minus BOS/EOS)
+    {"benchmark": {"vocab_types": 40, "len_min": 3, "len_max": 20}},
+])
+def test_benchmark_lines_over_the_piece_limit_rejected(doc):
+    with pytest.raises(ConfigError, match="piece limit"):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize("version", [99, "x", "1", True, 1.0, None])
+def test_other_schema_versions_rejected(version):
+    with pytest.raises(ConfigError, match="schema_version"):
+        from_dict({"schema_version": version})
+
+
+def test_schema_version_optional_and_written(tmp_path):
+    assert to_dict(from_dict({}))["schema_version"] == 1
+    p = tmp_path / "resolved_config.json"
+    p.write_text(json.dumps(to_dict(from_dict({"seed": 4}))))
+    assert load_config(p).seed == 4
+
+
 def test_override_parsing():
     assert parse_override("stage1.steps=40") == ("stage1.steps", 40)
     assert parse_override("eval.mode=13a") == ("eval.mode", "13a")

@@ -110,9 +110,9 @@ def test_brevity_penalty_monotone_under_truncation():
 
 def test_input_validation():
     with pytest.raises(DataError):
-        bleu(["a"], ["a", "b"])
+        bleu(["a"], ["a", "b"], mode="13a")
     with pytest.raises(DataError):
-        bleu([], [])
+        bleu([], [], mode="13a")
     with pytest.raises(ConfigError):
         bleu(["a"], ["a"], mode="nope")
 
@@ -127,6 +127,7 @@ def test_score_bounds_on_oracle_cases():
 # --- reports and model evaluation ---
 
 CORPUS = ["aba abba bab", "abba bab bab aba", "bab aba abba", "aba aba bab abba"]
+EVAL = {"mode": "pretokenized", "max_len": 64, "batch_size": 64}
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,7 @@ def test_identity_rigged_model_scores_100(tiny_setup, monkeypatch):
     vocab, cfg, params = tiny_setup
     monkeypatch.setattr(ev, "greedy_decode_batch", _echo_decoder)
     rows = evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en-xa"),
-                                               (CORPUS, CORPUS, "xa-en")])
+                                               (CORPUS, CORPUS, "xa-en")], **EVAL)
     assert [r.direction for r in rows] == ["en-xa", "xa-en"]
     assert all(r.bleu.score == 100.0 for r in rows)
 
@@ -160,13 +161,14 @@ def test_blank_source_lines_translate_to_empty_lines(tiny_setup, monkeypatch):
     monkeypatch.setattr(ev, "greedy_decode_batch", _echo_decoder)
     # batches of two: all blank, one line then a blank, one line
     lines = ["", " \t ", CORPUS[0], "", CORPUS[1]]
-    assert translate_corpus(params, cfg, vocab, lines, "xa", batch_size=2) == [
+    assert translate_corpus(params, cfg, vocab, lines, "xa", max_len=64,
+                            batch_size=2) == [
         "", "", CORPUS[0], "", CORPUS[1]]
 
 
 def test_empty_testset_list_gives_empty_report(tiny_setup):
     vocab, cfg, params = tiny_setup
-    rows = evaluate_model(params, cfg, vocab, [])
+    rows = evaluate_model(params, cfg, vocab, [], **EVAL)
     assert rows == []
     assert format_report(rows) == "direction\tscore\tp1\tp2\tp3\tp4\tbp\n"
     assert json.loads(report_as_json(rows)) == []
@@ -175,14 +177,15 @@ def test_empty_testset_list_gives_empty_report(tiny_setup):
 def test_unknown_direction_rejected(tiny_setup):
     vocab, cfg, params = tiny_setup
     with pytest.raises(ConfigError):
-        evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en-zz")])
+        evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en-zz")], **EVAL)
     with pytest.raises(ConfigError):
-        evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en")])
+        evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en")], **EVAL)
 
 
 def test_untrained_model_decodes_and_scores(tiny_setup):
     vocab, cfg, params = tiny_setup
-    rows = evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en-xa")], max_len=12)
+    rows = evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "en-xa")],
+                          **dict(EVAL, max_len=12))
     assert len(rows) == 1
     assert 0.0 <= rows[0].bleu.score <= 100.0
 
@@ -190,7 +193,7 @@ def test_untrained_model_decodes_and_scores(tiny_setup):
 def test_report_roundtrip_files(tiny_setup, tmp_path, monkeypatch):
     vocab, cfg, params = tiny_setup
     monkeypatch.setattr(ev, "greedy_decode_batch", _echo_decoder)
-    rows = evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "xa-en")])
+    rows = evaluate_model(params, cfg, vocab, [(CORPUS, CORPUS, "xa-en")], **EVAL)
     write_report(rows, tmp_path / "r.tsv", tmp_path / "r.json")
     text = (tmp_path / "r.tsv").read_text()
     assert text.startswith("direction\tscore")

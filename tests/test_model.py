@@ -14,7 +14,6 @@ from munmt.model import (
     decode_logits,
     encode,
     forward_logits,
-    greedy_decode,
     greedy_decode_batch,
     init_params,
     param_shapes,
@@ -235,10 +234,16 @@ def _rigged(cfg, winner):
     return params
 
 
+def decode_one(params, cfg, ids, tgt_lang, max_len):
+    """Greedy decode of one sentence, as a one-row block."""
+    return greedy_decode_batch(params, cfg, np.asarray([ids], dtype=np.int32),
+                               tgt_lang, max_len)[0]
+
+
 def test_greedy_decode_eos_rig_gives_empty_body():
     cfg = small_cfg()
     params = _rigged(cfg, EOS)
-    out = greedy_decode(params, cfg, np.asarray([5, 6], dtype=np.int32), "xa")
+    out = decode_one(params, cfg, [5, 6], "xa", max_len=32)
     assert out == [EOS]
     assert strip_body(out) == []
 
@@ -246,7 +251,7 @@ def test_greedy_decode_eos_rig_gives_empty_body():
 def test_greedy_decode_never_eos_hits_max_len():
     cfg = small_cfg()
     params = _rigged(cfg, 7)
-    out = greedy_decode(params, cfg, np.asarray([5, 6], dtype=np.int32), "xa", max_len=5)
+    out = decode_one(params, cfg, [5, 6], "xa", max_len=5)
     assert out == [7, 7, 7, 7, 7]
 
 
@@ -256,7 +261,7 @@ def test_greedy_decode_tie_breaks_to_lowest_id():
     for k in params.arrays:
         params.arrays[k][:] = 0.0
     # all logits identical: argmax must return id 0 every step
-    out = greedy_decode(params, cfg, np.asarray([5], dtype=np.int32), "en", max_len=3)
+    out = decode_one(params, cfg, [5], "en", max_len=3)
     assert out == [0, 0, 0]
 
 
@@ -274,7 +279,7 @@ def test_batch_decode_matches_single_decode():
         block[i, : len(r)] = r
     batched = greedy_decode_batch(params, cfg, block, "xa", max_len=8)
     for i, r in enumerate(rows):
-        single = greedy_decode(params, cfg, r, "xa", max_len=8)
+        single = decode_one(params, cfg, r, "xa", max_len=8)
         assert batched[i] == single
 
 

@@ -201,7 +201,7 @@ def test_bt_identity_rig_reduces_to_autoencoding(monkeypatch):
         return [list(r) + [EOS] for r in rows]
 
     monkeypatch.setattr(obj, "greedy_decode_batch", fake_decode)
-    res = back_translation_loss(params, cfg, rows, "xa", "en")
+    res = back_translation_loss(params, cfg, rows, "xa", "en", max_len=32)
     want = cross_entropy_loss(params, cfg, rows, rows, "xa")
     assert res.used == 2 and res.skipped == 0
     assert float(res.loss.data) == float(want.data)
@@ -221,14 +221,14 @@ def test_bt_skips_empty_decodes(monkeypatch):
         return [[EOS], [9, EOS]]
 
     monkeypatch.setattr(obj, "greedy_decode_batch", fake_decode)
-    res = back_translation_loss(params, cfg, rows, "xa", "en")
+    res = back_translation_loss(params, cfg, rows, "xa", "en", max_len=32)
     assert res.used == 1 and res.skipped == 1 and res.loss is not None
 
     def all_empty(p, c, block, lang, max_len):
         return [[EOS], [EOS]]
 
     monkeypatch.setattr(obj, "greedy_decode_batch", all_empty)
-    res = back_translation_loss(params, cfg, rows, "xa", "en")
+    res = back_translation_loss(params, cfg, rows, "xa", "en", max_len=32)
     assert res.loss is None and res.used == 0 and res.skipped == 2
 
 
@@ -236,7 +236,7 @@ def test_bt_same_language_rejected():
     cfg = small_cfg()
     params = init_params(cfg, seed=8)
     with pytest.raises(ConfigError):
-        back_translation_loss(params, cfg, [np.asarray([5])], "en", "en")
+        back_translation_loss(params, cfg, [np.asarray([5])], "en", "en", max_len=32)
 
 
 def test_bt_real_decode_runs_end_to_end():
@@ -255,9 +255,9 @@ def test_ct_requires_genuinely_third_language():
     x = [np.asarray([5, 6])]
     y = [np.asarray([7])]
     with pytest.raises(ConfigError):
-        cross_translation_loss(params, cfg, x, y, "aa", "en", "aa")
+        cross_translation_loss(params, cfg, x, y, "aa", "en", "aa", max_len=32)
     with pytest.raises(ConfigError):
-        cross_translation_loss(params, cfg, x, y, "aa", "en", "en")
+        cross_translation_loss(params, cfg, x, y, "aa", "en", "en", max_len=32)
 
 
 def test_ct_scores_target_through_pivot(monkeypatch):
@@ -272,7 +272,7 @@ def test_ct_scores_target_through_pivot(monkeypatch):
         return [list(ztilde[0]) + [EOS]]
 
     monkeypatch.setattr(obj, "greedy_decode_batch", fake_decode)
-    res = cross_translation_loss(params, cfg, x, y, "aa", "en", "xa")
+    res = cross_translation_loss(params, cfg, x, y, "aa", "en", "xa", max_len=32)
     want = cross_entropy_loss(params, cfg, ztilde, y, "en")
     assert float(res.loss.data) == float(want.data)
 

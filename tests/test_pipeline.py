@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from munmt import objectives, pipeline
+from munmt import corpus, objectives, pipeline
 from munmt.checkpoint import load_checkpoint
 from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
                           Stage3Spec, StageSpec, SyntheticSpec)
@@ -18,7 +18,7 @@ from munmt.errors import ConfigError, DataError, NumericError
 from munmt.model import init_params
 from munmt.pipeline import (ArmOptions, _filtered_manifest, build_context,
                             check_manifest_compat, generate_synthetic,
-                            load_entries, predict_sweep, run_algorithm1,
+                            predict_sweep, run_algorithm1,
                             run_pipeline, run_stage1, run_stage2, run_stage3)
 from munmt.synthlang import BenchmarkConfig, TargetSpec, build_benchmark
 
@@ -152,7 +152,7 @@ def test_mid_checkpoints_and_exact_resume(env):
 
 
 def test_stage1_rejects_synthetic_manifests(env, tmp_path):
-    root, cfg, ctx = env
+    cfg = env[1]
     languages, entries = load_manifest(cfg.manifest)
     base = os.path.dirname(os.path.abspath(cfg.manifest))
     doctored = []
@@ -167,8 +167,7 @@ def test_stage1_rejects_synthetic_manifests(env, tmp_path):
     save_manifest(bad, languages, doctored)
     cfg2 = copy.deepcopy(cfg)
     cfg2.manifest = str(bad)
-    ctx2 = dataclasses.replace(ctx, cfg=cfg2, manifest_path=str(bad),
-                               out_dir=str(tmp_path))
+    ctx2 = build_context(cfg2, str(tmp_path / "run"), quiet=True)
     with pytest.raises(DataError, match="synthetic"):
         run_stage1(ctx2)
 
@@ -202,7 +201,7 @@ def test_round1_selects_the_configured_fraction(synth):
     xa_lines = read_lines(e["tgt_path"])
     assert len(en_lines) == len(xa_lines) == 12  # 10% of 120
     mono = set(read_lines(os.path.join(
-        os.path.dirname(ctx.manifest_path), "mono.xa.txt")))
+        os.path.dirname(ctx.cfg.manifest), "mono.xa.txt")))
     assert set(xa_lines) <= mono  # the target side is real text, verbatim
     meta = json.load(open(os.path.join(
         ctx.out_dir, "synthetic", "r1.en-xa.meta.json")))
@@ -224,10 +223,10 @@ def test_round2_is_larger_disjoint_and_bidirectional(synth):
     en_side = read_lines(rev["tgt_path"])
     assert len(en_side) == 10
     mono_en = set(read_lines(os.path.join(
-        os.path.dirname(ctx.manifest_path), "mono.en.txt")))
+        os.path.dirname(ctx.cfg.manifest), "mono.en.txt")))
     assert set(en_side) <= mono_en
     # entries file round-trips
-    back = load_entries(os.path.join(ctx.out_dir, "synthetic", "r2.entries.json"))
+    back = pipeline.stage_entries(ctx, "r2")
     assert back == r2
 
 
@@ -245,6 +244,32 @@ def test_stage2_trains_synthetic_in_its_labeled_direction_only(synth):
     assert ce_rows, "sampler never drew the synthetic dataset"
     for r in ce_rows:
         assert (r[3], r[4]) == ("en", "xa")  # labeled direction, never reversed
+
+
+@pytest.mark.parametrize("keep_round1, later", [(False, [2]), (True, [2, 1])])
+def test_synthetic_rounds_per_stage(env, keep_round1, later):
+    cfg = copy.deepcopy(env[1])
+    cfg.synthetic.keep_round1 = keep_round1
+    ctx = ctx_at(env, "rounds", cfg=cfg)
+    rounds = {label: pipeline.synthetic_rounds(ctx, label)
+              for label in ("r1", "r2", "stage2a", "stage2b", "stage3")}
+    assert {k: list(v) for k, v in rounds.items()} == {
+        "r1": [1], "r2": [2], "stage2a": [1], "stage2b": later, "stage3": later}
+    n = later[-1]
+    assert rounds["stage3"][n] == os.path.join(ctx.out_dir, "synthetic",
+                                               f"r{n}.entries.json")
+    with pytest.raises(ConfigError):
+        pipeline.synthetic_rounds(ctx, "stage1")
+
+
+def test_synthetic_entries_are_checked_like_manifest_entries(synth):
+    ctx, _, r1, _ = synth
+    bad = [dict(r1[0], id="mono.en"),  # a manifest id
+           {k: v for k, v in r1[0].items() if k != "src_path"},
+           dict(r1[0], id="synth.zz", tgt="zz")]
+    for entry in bad:
+        with pytest.raises(DataError, match="dataset"):
+            ctx.registry(extra_entries=[entry])
 
 
 def test_round2_needs_enough_lines(env):
@@ -308,7 +333,7 @@ def test_predict_sweep_objective_filter():
 
 def test_stage3_audit_matches_the_plan_exactly(env):
     ctx = ctx_at(env, "s3")
-    languages, _ = load_manifest(ctx.manifest_path)
+    languages, _ = load_manifest(ctx.cfg.manifest)
     _, datasets = ctx.registry()
     plan = predict_sweep(languages, datasets, ctx.cfg.pivots)
     params = init_params(ctx.model_cfg, 5)
@@ -417,24 +442,30 @@ def test_filtered_manifest_drops_named_datasets(env, tmp_path):
 # the whole pipeline, smoke scale
 
 
-def count_registry_builds(monkeypatch):
+def count_calls(monkeypatch, name, *modules):
+    """Count the calls to `name` made through any of `modules`."""
     calls = []
-    build = pipeline.build_registry
+    fn = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "build_registry", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_run_pipeline_end_to_end(env, tmp_path, monkeypatch):
     root, cfg, _ = env
-    builds = count_registry_builds(monkeypatch)
+    builds = count_calls(monkeypatch, "build_registry", pipeline)
+    parses = count_calls(monkeypatch, "load_manifest", corpus, pipeline)
+    checks = count_calls(monkeypatch, "check_manifest_compat", pipeline)
     summary = run_pipeline(cfg, str(tmp_path / "run"), quiet=True)
     # the manifest is tokenized once; synthetic rounds are added per stage
     assert len(builds) == 1
+    # read once by build_context, once by the registry build; checked once
+    assert len(parses) == 2 and len(checks) == 1
     assert set(summary["stages"]) == {"stage1", "stage2a", "stage2b", "stage3"}
     for scores in summary["stages"].values():
         assert set(scores) == {"en-xa", "xa-en"}
@@ -464,7 +495,7 @@ def test_no_synthetic_arm_skips_generation(env, tmp_path, monkeypatch):
     small.stage1 = StageSpec(steps=2, lr=LrSpec(peak=5e-4, warmup=2, total=12))
     small.stage3 = Stage3Spec(sweeps=1, eval_every=0, max_tokens=256, max_len=16)
     out = tmp_path / "nosynth"
-    builds = count_registry_builds(monkeypatch)
+    builds = count_calls(monkeypatch, "build_registry", pipeline)
     summary = run_pipeline(small, str(out), quiet=True,
                            arm=ArmOptions(use_synthetic=False))
     assert len(builds) == 1

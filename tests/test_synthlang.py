@@ -305,8 +305,6 @@ def test_config_violations_rejected(tmp_path):
     with pytest.raises(ConfigError):
         small_cfg(tmp_path, targets={"xa": TargetSpec(window=1)}).validate()
     with pytest.raises(ConfigError):
-        small_cfg(tmp_path, len_max=20).validate()  # blows the piece budget
-    with pytest.raises(ConfigError):
         small_cfg(tmp_path, auxiliaries=[]).validate()
 
 
