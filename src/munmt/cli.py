@@ -17,7 +17,6 @@ from dataclasses import asdict
 
 from .config import apply_overrides, from_dict, read_config_doc
 from .checkpoint import load_checkpoint
-from .corpus import load_manifest
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, format_report, write_report
 from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, build_context,
@@ -209,7 +208,7 @@ def cmd_pipeline(args):
 def _single_aux_arm(cfg):
     """Keep exactly one auxiliary's parallel data (the alphabetically first
     pivot); every pivot list shrinks to it. Fails if some target never
-    listed that auxiliary. The dataset ids come from cfg's manifest."""
+    listed that auxiliary."""
     all_pivots = sorted({a for pl in cfg.pivots.values() for a in pl})
     keep = all_pivots[0]
     bad = [t for t, pl in cfg.pivots.items() if keep not in pl]
@@ -218,17 +217,11 @@ def _single_aux_arm(cfg):
             f"single-aux arm keeps {keep!r}, but targets {bad} do not pivot "
             "through it")
     cfg.pivots = {t: [keep] for t in cfg.pivots}
-    _, entries = load_manifest(cfg.manifest)
-    drop = tuple(e["id"] for e in entries
-                 if e["kind"] == "parallel" and not e.get("synthetic")
-                 and keep not in (e["src"], e["tgt"]))
-    return ArmOptions(drop_datasets=drop)
+    return ArmOptions(keep_aux=keep)
 
 
 def cmd_ablate(args):
     cfg = _config(args)
-    if not cfg.manifest:
-        generate_benchmark(cfg, args.out)
     if args.arm == "no-synthetic":
         arm = ArmOptions(use_synthetic=False)
     elif args.arm == "bt-only":

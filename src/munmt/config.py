@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .synthlang import BenchmarkConfig
 
 SCHEMA_VERSION = 1
@@ -311,6 +311,22 @@ def apply_overrides(doc: dict, overrides) -> dict:
     return doc
 
 
+def file_digest(path) -> str:
+    """The first 16 hex digits of the sha256 of a file's bytes."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()[:16]
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+
+
 def config_digest(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """The digest of the config a run trains under. The manifest and testsets
+    files count by the digest of their bytes, not by their paths, so the same
+    run under another spelling of its directory has the same digest."""
+    doc = to_dict(cfg)
+    for key in ("manifest", "testsets"):
+        if doc[key] is not None:
+            doc[key] = file_digest(doc[key])
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

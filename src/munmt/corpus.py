@@ -189,7 +189,8 @@ def read_lines(path):
 
 
 def load_manifest(path):
-    """Parse the manifest. Returns (languages, dataset entries); paths stay relative."""
+    """Parse and check the manifest. Returns (languages, dataset entries),
+    each entry's paths resolved against the manifest's directory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -215,7 +216,27 @@ def load_manifest(path):
     problems += entry_problems(entries, languages)
     if problems:
         raise DataError("; ".join(problems))
-    return languages, entries
+    return languages, resolve_paths(entries, path)
+
+
+PATH_KEYS = ("path", "src_path", "tgt_path")
+
+
+def resolve_paths(entries, listed_in) -> list:
+    """Copies of the dataset entries listed in the file `listed_in`, each
+    path joined to that file's directory (an absolute path stays as it is).
+    Anything that is not an entry with a path is passed through for
+    entry_problems to report."""
+    root = os.path.dirname(os.path.abspath(listed_in))
+    resolved = []
+    for e in entries:
+        if isinstance(e, dict):
+            e = dict(e)
+            for key in PATH_KEYS:
+                if isinstance(e.get(key), str) and e[key]:
+                    e[key] = os.path.join(root, e[key])
+        resolved.append(e)
+    return resolved
 
 
 def entry_problems(entries, languages, taken=()) -> list:
@@ -269,18 +290,18 @@ def _encode_kept(vocab: tok.Vocab, line: str, max_pieces: int):
     return ids if 0 < ids.size <= max_pieces else None
 
 
-def load_dataset(entry, root, vocab: tok.Vocab, max_pieces: int) -> Dataset:
-    """Read and tokenize one manifest entry, applying the length filter.
-    Relative paths resolve against `root`. Blank lines are dropped at
-    ingestion; a pair is dropped when either side is blank or too long."""
+def load_dataset(entry, vocab: tok.Vocab, max_pieces: int) -> Dataset:
+    """Read and tokenize one dataset entry, applying the length filter.
+    Blank lines are dropped at ingestion; a pair is dropped when either side
+    is blank or too long."""
     if entry["kind"] == "mono":
-        lines = read_lines(os.path.join(root, entry["path"]))
+        lines = read_lines(entry["path"])
         kept = (_encode_kept(vocab, line, max_pieces) for line in lines)
         items = [ids for ids in kept if ids is not None]
         ds = Dataset(entry["id"], "mono", lang=entry["lang"], items=items)
     else:
-        src_lines = read_lines(os.path.join(root, entry["src_path"]))
-        tgt_lines = read_lines(os.path.join(root, entry["tgt_path"]))
+        src_lines = read_lines(entry["src_path"])
+        tgt_lines = read_lines(entry["tgt_path"])
         if len(src_lines) != len(tgt_lines):
             raise DataError(
                 f"parallel dataset {entry['id']} sides have different line counts"
@@ -298,9 +319,7 @@ def load_dataset(entry, root, vocab: tok.Vocab, max_pieces: int) -> Dataset:
     return ds
 
 
-def build_registry(manifest_path, vocab: tok.Vocab, max_pieces: int = 88):
-    """Tokenize every corpus in the manifest into Dataset objects (see
-    load_dataset). Returns (languages, datasets) in manifest order."""
-    languages, entries = load_manifest(manifest_path)
-    root = os.path.dirname(os.path.abspath(manifest_path))
-    return languages, [load_dataset(e, root, vocab, max_pieces) for e in entries]
+def build_registry(entries, vocab: tok.Vocab, max_pieces: int) -> list:
+    """Tokenize every entry's corpus into a Dataset (see load_dataset), in
+    entry order."""
+    return [load_dataset(e, vocab, max_pieces) for e in entries]

@@ -9,7 +9,6 @@ number, so a run can be stopped at any checkpoint and resumed bit-exactly.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import os
 import time
@@ -19,10 +18,10 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_digest, to_dict
+from .config import ExperimentConfig, config_digest, file_digest, to_dict
 from .corpus import (SamplingPolicy, bucket_batches, build_registry,
                      choose_dataset, draw_batch, entry_problems, load_dataset,
-                     load_manifest, read_lines, save_manifest)
+                     load_manifest, read_lines, resolve_paths)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, translate_corpus, write_report
 from .model import ModelConfig, ModelParams, init_params
@@ -39,8 +38,9 @@ STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 @dataclass
 class RunContext:
     """Everything the stage runners share: config, model geometry, vocab,
-    the manifest's languages and dataset entries (read and checked against
-    the pivot table once, by build_context), and where artifacts go."""
+    the manifest's languages and dataset entries (read, with their paths
+    resolved, and checked against the pivot table once, by build_context),
+    and where artifacts go."""
 
     cfg: ExperimentConfig
     model_cfg: ModelConfig
@@ -52,7 +52,7 @@ class RunContext:
     config_digest: str = ""
     quiet: bool = False
     # the manifest's tokenized corpora, built on the first registry() call
-    _registry: tuple | None = field(default=None, init=False, repr=False,
+    _registry: list | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
     def say(self, msg: str) -> None:
@@ -71,11 +71,9 @@ class RunContext:
             raise DataError("; ".join(problems))
         limit = self.cfg.piece_limit
         if self._registry is None:
-            self._registry = build_registry(self.cfg.manifest, self.vocab, limit)
-        languages, datasets = self._registry
-        root = os.path.dirname(os.path.abspath(self.cfg.manifest))
-        return languages, datasets + [load_dataset(e, root, self.vocab, limit)
-                                      for e in extra]
+            self._registry = build_registry(self.entries, self.vocab, limit)
+        return self.languages, self._registry + [
+            load_dataset(e, self.vocab, limit) for e in extra]
 
 
 @dataclass
@@ -83,7 +81,7 @@ class ArmOptions:
     """Ablation switches. The default is the full method."""
 
     use_synthetic: bool = True
-    drop_datasets: tuple = ()
+    keep_aux: str | None = None  # keep only this auxiliary's real parallel data
     stage3_objectives: tuple | None = None  # None = all of bt/ct/ce
 
 
@@ -287,7 +285,9 @@ def _write_json(path, doc):
 def _synthesize(ctx, params, round_idx, source, lines, sel, into):
     """Decode the selected lines of the mono dataset `source` into language
     `into`, write both sides and a sidecar naming the lines used, and return
-    the entry of the synthetic corpus labeled into -> source language."""
+    the entry of the synthetic corpus labeled into -> source language, its
+    paths relative to the synthetic directory. Refuses a corpus whose every
+    decode came back empty."""
     orig = source["lang"]
     src_texts = [lines[i] for i in sel]
     ctx.say(f"[synthetic r{round_idx}] decoding {len(sel)} {orig} lines into {into}")
@@ -295,17 +295,19 @@ def _synthesize(ctx, params, round_idx, source, lines, sel, into):
                                max_len=ctx.cfg.eval.max_len,
                                batch_size=ctx.cfg.eval.batch_size)
     stem = f"r{round_idx}.{into}-{orig}"
+    if not any(decoded):
+        raise DataError(f"synthetic corpus synth.{stem}: all {len(decoded)} "
+                        f"decodes into {into} came back empty")
     out_root = os.path.join(ctx.out_dir, "synthetic")
-    into_path = os.path.join(out_root, f"{stem}.{into}.txt")
-    orig_path = os.path.join(out_root, f"{stem}.{orig}.txt")
-    _write_lines(into_path, decoded)
-    _write_lines(orig_path, src_texts)
+    into_name, orig_name = f"{stem}.{into}.txt", f"{stem}.{orig}.txt"
+    _write_lines(os.path.join(out_root, into_name), decoded)
+    _write_lines(os.path.join(out_root, orig_name), src_texts)
     _write_json(os.path.join(out_root, f"{stem}.meta.json"), {
         "round": round_idx, "source_dataset": source["id"],
         "line_indices": [int(i) for i in sel],
         "empty_decodes": sum(1 for d in decoded if not d)})
     return {"id": f"synth.{stem}", "kind": "parallel", "src": into, "tgt": orig,
-            "src_path": into_path, "tgt_path": orig_path, "synthetic": True}
+            "src_path": into_name, "tgt_path": orig_name, "synthetic": True}
 
 
 def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
@@ -317,11 +319,11 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
     decoded the same way, and additionally a disjoint slice of English mono is
     decoded into each X, giving (decoded X, original English) pairs labeled
     X->English. Selection uses one permutation per corpus, so rounds never
-    reuse a line. Returns manifest-style entries with absolute paths.
+    reuse a line. Writes the round's entries file, its paths relative to the
+    file, and returns the entries resolved as stage_entries reads them back.
     """
     path = synthetic_rounds(ctx, f"r{round_idx}")[round_idx]  # rejects other rounds
     english, targets = _english_and_targets(ctx.languages)
-    root = os.path.dirname(os.path.abspath(ctx.cfg.manifest))
     mono = {e["lang"]: e for e in ctx.entries if e["kind"] == "mono"}
     syn = ctx.cfg.synthetic
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -329,7 +331,7 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
     def mono_lines(lang):
         if lang not in mono:
             raise DataError(f"no mono dataset for {lang!r} in the manifest")
-        return mono[lang], read_lines(os.path.join(root, mono[lang]["path"]))
+        return mono[lang], read_lines(mono[lang]["path"])
 
     out_entries = []
     for x in targets:
@@ -366,7 +368,7 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
             out_entries.append(_synthesize(ctx, params, 2, entry, en_lines, sel, x))
 
     _write_json(path, out_entries)
-    return out_entries
+    return resolve_paths(out_entries, path)
 
 
 def synthetic_rounds(ctx: RunContext, label: str) -> dict:
@@ -385,7 +387,8 @@ def synthetic_rounds(ctx: RunContext, label: str) -> dict:
 
 def stage_entries(ctx: RunContext, label: str) -> list:
     """The synthetic dataset entries `label` trains on, read back from the
-    entries files of its rounds (see synthetic_rounds)."""
+    entries files of its rounds (see synthetic_rounds), each path resolved
+    against its entries file."""
     entries = []
     for n, path in synthetic_rounds(ctx, label).items():
         try:
@@ -397,7 +400,7 @@ def stage_entries(ctx: RunContext, label: str) -> list:
             raise DataError(f"cannot read entries file {path}: {e}") from None
         if not isinstance(doc, list):
             raise DataError(f"{path}: expected a JSON list of dataset entries")
-        entries += doc
+        entries += resolve_paths(doc, path)
     return entries
 
 
@@ -444,12 +447,10 @@ def predict_sweep(languages, datasets, pivots, objectives=None):
 
 def _load_eval_sets(testsets_path, split):
     doc = load_testsets(testsets_path)
-    root = os.path.dirname(os.path.abspath(testsets_path))
     sets = []
     for d in doc["eval_directions"]:
         s, t = d.split("-")
-        sets.append((read_lines(os.path.join(root, doc[split][s])),
-                     read_lines(os.path.join(root, doc[split][t])), d))
+        sets.append((read_lines(doc[split][s]), read_lines(doc[split][t]), d))
     return sets
 
 
@@ -565,33 +566,6 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
 # the whole pipeline
 
 
-def _sha16(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _filtered_manifest(manifest_path, drop_ids, out_dir):
-    """Copy of the manifest without the named datasets, paths made absolute."""
-    languages, entries = load_manifest(manifest_path)
-    root = os.path.dirname(os.path.abspath(manifest_path))
-    known = {e["id"] for e in entries}
-    missing = sorted(set(drop_ids) - known)
-    if missing:
-        raise ConfigError([f"cannot drop unknown dataset {d!r}" for d in missing])
-    kept = []
-    for e in entries:
-        if e["id"] in set(drop_ids):
-            continue
-        e = dict(e)
-        for key in ("path", "src_path", "tgt_path"):
-            if key in e:
-                e[key] = os.path.abspath(os.path.join(root, e[key]))
-        kept.append(e)
-    path = os.path.join(out_dir, "manifest.filtered.json")
-    save_manifest(path, languages, kept)
-    return path
-
-
 def generate_benchmark(cfg: ExperimentConfig, out_dir) -> None:
     """Build the toy benchmark under out_dir/benchmark (its seed defaults to
     the experiment seed) and point cfg's manifest and testsets at it."""
@@ -619,8 +593,9 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     """Resolve data, train the vocabulary, and fix the model geometry.
 
     If the config names no manifest, generate_benchmark builds one under
-    out_dir/benchmark. The returned context's cfg is a resolved copy; the
-    caller's is untouched.
+    out_dir/benchmark. An arm with keep_aux drops every other auxiliary's
+    real parallel data from the entries before anything reads them. The
+    returned context's cfg is a resolved copy; the caller's is untouched.
     """
     arm = arm or ArmOptions()
     cfg = copy.deepcopy(cfg)
@@ -631,19 +606,20 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
             print(f"[data] building benchmark in {os.path.join(out_dir, 'benchmark')}",
                   flush=True)
         generate_benchmark(cfg, out_dir)
-    if arm.drop_datasets:
-        cfg.manifest = _filtered_manifest(cfg.manifest, arm.drop_datasets, out_dir)
 
     languages, entries = load_manifest(cfg.manifest)
+    if arm.keep_aux is not None:
+        entries = [e for e in entries
+                   if e["kind"] != "parallel" or e.get("synthetic")
+                   or arm.keep_aux in (e["src"], e["tgt"])]
     check_manifest_compat(cfg, languages, entries)
-    root = os.path.dirname(os.path.abspath(cfg.manifest))
     lines = []
     for e in entries:
         if e["kind"] == "mono":
-            lines.extend(read_lines(os.path.join(root, e["path"])))
+            lines.extend(read_lines(e["path"]))
         else:
-            lines.extend(read_lines(os.path.join(root, e["src_path"])))
-            lines.extend(read_lines(os.path.join(root, e["tgt_path"])))
+            lines.extend(read_lines(e["src_path"]))
+            lines.extend(read_lines(e["tgt_path"]))
     if not quiet:
         print(f"[vocab] training BPE ({cfg.vocab_size} pieces) on "
               f"{len(lines)} lines", flush=True)
@@ -706,8 +682,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     summary = {"stages": scores, "best_dev": ck.meta.get("best_dev"),
                "vocab_digest": ctx.vocab_digest,
                "config_digest": ctx.config_digest,
-               "manifest_digest": _sha16(ctx.cfg.manifest),
-               "out_dir": os.path.abspath(out_dir)}
+               "manifest_digest": file_digest(ctx.cfg.manifest)}
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     save_run_meta(out_dir, started)
     return summary

@@ -458,6 +458,7 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
 
     cfg_path = os.path.join(cfg.out_dir, "benchmark.json")
     doc = asdict(cfg)
+    del doc["out_dir"]  # the file's own directory: its bytes must not depend on it
     doc["targets"] = {k: asdict(v) for k, v in targets.items()}
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -469,6 +470,8 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
 
 
 def load_testsets(path) -> dict:
+    """The testsets document, each dev and test file resolved against the
+    directory of `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -476,4 +479,10 @@ def load_testsets(path) -> dict:
         raise DataError(f"cannot read testsets file {path}: {e}") from None
     if doc.get("format") != "munmt-testsets" or doc.get("version") != 1:
         raise DataError(f"{path}: unknown testsets format")
+    root = os.path.dirname(os.path.abspath(path))
+    try:
+        for split in ("dev", "test"):
+            doc[split] = {lang: os.path.join(root, p) for lang, p in doc[split].items()}
+    except (KeyError, AttributeError, TypeError):
+        raise DataError(f"{path}: dev and test must map languages to files") from None
     return doc

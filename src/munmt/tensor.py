@@ -5,10 +5,9 @@ primitive nodes; ``backward`` walks that DAG once in reverse topological
 order and returns exact gradients for a named set of leaf parameters.
 Training runs in float32; gradient checks run the same code in float64.
 
-Values are expected to stay finite. Nothing here scans every intermediate
-by default (that would double step cost); callers check losses via
-``assert_finite`` and tests can flip ``set_debug_checks(True)`` to validate
-every node as it is created.
+Values are expected to stay finite. Nothing here scans intermediates (that
+would double step cost); the trainer checks each loss before backpropagating
+it.
 """
 
 from __future__ import annotations
@@ -16,20 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
-def assert_finite(value, what: str = "value") -> None:
-    """Raise NumericError if `value` (array or scalar) is not fully finite."""
-    arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite {what}")
 
 
 class _GradMode:
@@ -58,8 +43,6 @@ class Tensor:
         self.parents = parents
         self.vjp = vjp
         self.name = name
-        if _DEBUG_CHECKS:
-            assert_finite(self.data, name or "tensor")
 
     @property
     def shape(self):
@@ -325,10 +308,6 @@ def backward(loss: Tensor, params: dict) -> dict:
                     grads[pid] = grads[pid] + pg
                 else:
                     grads[pid] = pg
-            if _DEBUG_CHECKS:
-                for pg in parent_grads:
-                    if pg is not None:
-                        assert_finite(pg, "gradient")
     out = {}
     for name, p in params.items():
         g = grads.get(id(p))

@@ -7,11 +7,10 @@ import shutil
 
 import pytest
 
+from munmt import corpus, pipeline
 from munmt.checkpoint import load_checkpoint
 from munmt.cli import _single_aux_arm, main
 from munmt.config import from_dict
-from munmt.corpus import load_manifest
-from munmt.pipeline import generate_benchmark
 
 CFG_DOC = {
     "seed": 11, "vocab_size": 200, "batch_size": 4,
@@ -38,26 +37,61 @@ CHAIN = [["synth-data"], ["train-vocab"], ["stage1"],
          ["stage3"], ["evaluate"]]
 
 
+def count_parses(mp):
+    """Record each manifest parse, through every module that binds it."""
+    parses = []
+    real = corpus.load_manifest
+
+    def counted(path):
+        parses.append(path)
+        return real(path)
+
+    for module in (corpus, pipeline):
+        mp.setattr(module, "load_manifest", counted)
+    return parses
+
+
+def tree_bytes(root, skip=("run_meta.json", "resolved_config.json")):
+    """{relative path: bytes} of every file under root, minus `skip`."""
+    found = {}
+    for d, _, files in os.walk(root):
+        for fn in files:
+            if fn not in skip:
+                path = os.path.join(d, fn)
+                with open(path, "rb") as fh:
+                    found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg_path = root / "exp.json"
     cfg_path.write_text(json.dumps(CFG_DOC))
     out = root / "run"
-    codes = {}
+    codes, parses = {}, {}
     for cmd in CHAIN:
-        codes[" ".join(cmd)] = main(
-            cmd + ["--config", str(cfg_path), "--out", str(out), "--quiet"])
-    return root, cfg_path, out, codes
+        with pytest.MonkeyPatch.context() as mp:
+            seen = count_parses(mp)
+            codes[" ".join(cmd)] = main(
+                cmd + ["--config", str(cfg_path), "--out", str(out), "--quiet"])
+        parses[" ".join(cmd)] = len(seen)
+    return root, cfg_path, out, codes, parses
 
 
 def test_every_chained_command_succeeds(chain):
-    _, _, _, codes = chain
+    _, _, _, codes, _ = chain
     assert codes == {k: 0 for k in codes}
 
 
+def test_every_chained_command_parses_the_manifest_once(chain):
+    parses = chain[4]
+    # synth-data writes the manifest and reads nothing
+    assert parses == {k: 0 if k == "synth-data" else 1 for k in parses}
+
+
 def test_chain_leaves_the_documented_artifacts(chain):
-    _, _, out, _ = chain
+    _, _, out, _, _ = chain
     for fn in ("benchmark/manifest.json", "benchmark/testsets.json",
                "vocab.txt", "resolved_config.json", "run_meta.json",
                "stage1.ckpt", "stage1.step000002.ckpt", "stage2a.ckpt",
@@ -71,7 +105,7 @@ def test_chain_leaves_the_documented_artifacts(chain):
 
 
 def test_synth_data_is_idempotent(chain):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     manifest = out / "benchmark" / "manifest.json"
     before = manifest.read_bytes()
     assert main(["synth-data", "--config", str(cfg_path),
@@ -80,7 +114,7 @@ def test_synth_data_is_idempotent(chain):
 
 
 def test_stage1_resume_reproduces_the_final_checkpoint(chain):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     final = (out / "stage1.ckpt").read_bytes()
     audit = (out / "audit.stage1.tsv").read_bytes()
     code = main(["stage1", "--config", str(cfg_path), "--out", str(out),
@@ -92,7 +126,7 @@ def test_stage1_resume_reproduces_the_final_checkpoint(chain):
 
 
 def test_resume_rejects_another_stages_checkpoint(chain, capsys):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     final = (out / "stage1.ckpt").read_bytes()
     code = main(["stage1", "--config", str(cfg_path), "--out", str(out),
                  "--quiet", "--resume", str(out / "stage2a.ckpt")])
@@ -102,7 +136,7 @@ def test_resume_rejects_another_stages_checkpoint(chain, capsys):
 
 
 def test_resume_rejects_another_configs_checkpoint(chain, capsys):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     final = (out / "stage1.ckpt").read_bytes()
     code = main(["stage1", "--config", str(cfg_path), "--out", str(out),
                  "--quiet", "--resume", str(out / "stage1.step000002.ckpt"),
@@ -113,7 +147,7 @@ def test_resume_rejects_another_configs_checkpoint(chain, capsys):
 
 
 def test_evaluate_prints_a_report(chain, capsys):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     code = main(["evaluate", "--config", str(cfg_path), "--out", str(out),
                  "--quiet", "--split", "dev"])
     assert code == 0
@@ -124,7 +158,7 @@ def test_evaluate_prints_a_report(chain, capsys):
 
 
 def test_seed_flag_lands_in_the_resolved_config(chain, tmp_path):
-    root, cfg_path, _, _ = chain
+    root, cfg_path, _, _, _ = chain
     out = tmp_path / "seeded"
     assert main(["synth-data", "--config", str(cfg_path), "--out", str(out),
                  "--seed", "99", "--quiet"]) == 0
@@ -133,7 +167,7 @@ def test_seed_flag_lands_in_the_resolved_config(chain, tmp_path):
 
 
 def test_vocab_digest_mismatch_is_a_data_error(chain, tmp_path, capsys):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     code = main(["evaluate", "--config", str(cfg_path), "--out", str(out),
                  "--quiet", "--override", "vocab_size=80"])
     assert code == 3
@@ -180,7 +214,7 @@ def test_missing_manifest_exits_3(tmp_path):
 
 
 def test_incompatible_pivot_table_exits_2(chain, tmp_path, capsys):
-    root, cfg_path, _, _ = chain
+    root, cfg_path, _, _, _ = chain
     assert main(["train-vocab", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o"), "--quiet",
                  "--override", 'pivots={"xa": ["zz"]}']) == 2
@@ -188,7 +222,7 @@ def test_incompatible_pivot_table_exits_2(chain, tmp_path, capsys):
 
 
 def test_malformed_synthetic_entry_exits_3(chain, tmp_path, capsys):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     run = tmp_path / "run"
     (run / "synthetic").mkdir(parents=True)
     shutil.copy(out / "stage1.ckpt", run / "stage1.ckpt")
@@ -201,7 +235,7 @@ def test_malformed_synthetic_entry_exits_3(chain, tmp_path, capsys):
 
 
 def test_missing_checkpoint_exits_3(chain):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
                  "--quiet", "--from", str(out / "nope.ckpt")]) == 3
 
@@ -214,7 +248,7 @@ def test_out_dir_collision_exits_5(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_4(chain, tmp_path, capsys):
-    root, cfg_path, _, _ = chain
+    root, cfg_path, _, _, _ = chain
     code = main(["stage1", "--config", str(cfg_path),
                  "--out", str(tmp_path / "boom"), "--quiet",
                  "--override", "stage1.lr.peak=1e30",
@@ -229,7 +263,7 @@ def test_divergence_exits_4(chain, tmp_path, capsys):
 
 
 def test_pipeline_command_prints_stage_scores(chain, tmp_path, capsys):
-    root, cfg_path, _, _ = chain
+    root, cfg_path, _, _, _ = chain
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", str(cfg_path),
                  "--out", str(out)]) == 0
@@ -239,7 +273,7 @@ def test_pipeline_command_prints_stage_scores(chain, tmp_path, capsys):
 
 
 def test_chain_and_pipeline_keep_round1_alike(chain, tmp_path):
-    root, cfg_path, _, _ = chain
+    root, cfg_path, _, _, _ = chain
     keep = ["--config", str(cfg_path), "--quiet",
             "--override", "synthetic.keep_round1=true"]
     steps, whole = tmp_path / "steps", tmp_path / "whole"
@@ -254,7 +288,7 @@ def test_chain_and_pipeline_keep_round1_alike(chain, tmp_path):
 
 
 def test_ablate_no_synthetic(chain, tmp_path):
-    root, cfg_path, _, _ = chain
+    root, cfg_path, _, _, _ = chain
     out = tmp_path / "nosynth"
     assert main(["ablate", "--arm", "no-synthetic", "--config", str(cfg_path),
                  "--out", str(out), "--quiet"]) == 0
@@ -263,32 +297,39 @@ def test_ablate_no_synthetic(chain, tmp_path):
 
 
 def test_single_aux_arm_trims_pivots_and_drops_parallel(chain, tmp_path):
-    root, cfg_path, out, _ = chain
+    root, cfg_path, out, _, _ = chain
     doc = copy.deepcopy(CFG_DOC)
     doc["pivots"] = {"xa": ["aa", "ab"]}
     doc["manifest"] = str(out / "benchmark" / "manifest.json")
     doc["testsets"] = str(out / "benchmark" / "testsets.json")
     cfg = from_dict(doc)
     arm = _single_aux_arm(cfg)
-    assert arm.drop_datasets == ("parallel.ab-en",)
+    assert arm.keep_aux == "aa"  # build_context drops parallel.ab-en
     assert cfg.pivots == {"xa": ["aa"]}
-    # without a manifest, ablate generates the benchmark first, as here; the
-    # ids come from that manifest, whatever English is called
+    # the arm reads no manifest, so none need exist yet, whatever English is
+    # called
     doc = {k: v for k, v in doc.items() if k not in ("manifest", "testsets")}
     doc["benchmark"] = dict(doc["benchmark"], base_name="zz")
     cfg2 = from_dict(doc)
-    generate_benchmark(cfg2, str(tmp_path))
-    assert _single_aux_arm(cfg2).drop_datasets == ("parallel.ab-zz",)
+    assert _single_aux_arm(cfg2).keep_aux == "aa"
+    assert cfg2.manifest is None
 
 
-def test_single_aux_arm_ablation_with_another_base_name(chain, tmp_path):
-    root, cfg_path, _, _ = chain
+def test_single_aux_arm_ablation_with_another_base_name(chain, tmp_path,
+                                                        monkeypatch):
+    root, cfg_path, _, _, _ = chain
     out = tmp_path / "oneaux"
+    parses = count_parses(monkeypatch)
     assert main(["ablate", "--arm", "single-aux", "--config", str(cfg_path),
                  "--out", str(out), "--quiet",
                  "--override", "benchmark.base_name=zz"]) == 0
-    _, entries = load_manifest(str(out / "manifest.filtered.json"))
-    assert [e["id"] for e in entries if e["kind"] == "parallel"] == ["parallel.aa-zz"]
+    assert len(parses) == 1
+    assert not (out / "manifest.filtered.json").exists()
+    audits = {fn: (out / fn).read_text() for fn in os.listdir(out)
+              if fn.startswith("audit.")}
+    assert len(audits) == 4
+    assert not any("\tparallel.ab-zz\t" in text for text in audits.values())
+    assert "\tparallel.aa-zz\t" in audits["audit.stage3.tsv"]  # the kept pivot
 
 
 def test_single_aux_arm_rejects_unbridged_targets():
@@ -301,3 +342,63 @@ def test_single_aux_arm_rejects_unbridged_targets():
     from munmt.errors import ConfigError
     with pytest.raises(ConfigError, match="single-aux"):
         _single_aux_arm(cfg)
+
+
+# ---------------------------------------------------------------------------
+# run directories: relative, spelled another way, copied
+
+
+def test_pipeline_with_a_relative_out_matches_an_absolute_one(chain, tmp_path,
+                                                                monkeypatch):
+    root, cfg_path, _, _, _ = chain
+    monkeypatch.chdir(tmp_path)
+    parses = count_parses(monkeypatch)
+    assert main(["pipeline", "--config", os.path.relpath(cfg_path),
+                 "--out", "rel/run", "--quiet"]) == 0
+    assert len(parses) == 1
+    assert main(["pipeline", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "abs"), "--quiet"]) == 0
+    rel = tree_bytes(tmp_path / "rel" / "run")
+    whole = tree_bytes(tmp_path / "abs")
+    assert "summary.json" in rel and "synthetic/r2.entries.json" in rel
+    assert sorted(rel) == sorted(whole)
+    assert [fn for fn in rel if rel[fn] != whole[fn]] == []
+
+
+def test_resume_under_another_spelling_of_out(chain, tmp_path, monkeypatch):
+    root, cfg_path, _, _, _ = chain
+    monkeypatch.chdir(tmp_path)
+    stage1 = ["stage1", "--config", str(cfg_path), "--quiet"]
+    assert main(stage1 + ["--out", "relrun"]) == 0
+    final = (tmp_path / "relrun" / "stage1.ckpt").read_bytes()
+    assert main(stage1 + ["--out", "./relrun",
+                          "--resume", "relrun/stage1.step000002.ckpt"]) == 0
+    assert (tmp_path / "relrun" / "stage1.ckpt").read_bytes() == final
+
+
+def test_a_copied_run_directory_reads_its_own_files(chain, tmp_path):
+    root, cfg_path, _, _, _ = chain
+    orig, moved = tmp_path / "orig", tmp_path / "moved"
+    common = ["--config", str(cfg_path), "--quiet"]
+    assert main(["stage1", "--out", str(orig)] + common) == 0
+    assert main(["synth-bt", "--round", "1", "--out", str(orig)] + common) == 0
+    shutil.copytree(orig, moved)
+    shutil.rmtree(orig)
+    assert main(["stage2", "--round", "a", "--out", str(moved)] + common) == 0
+    entries = json.loads((moved / "synthetic" / "r1.entries.json").read_text())
+    assert [(e["src_path"], e["tgt_path"]) for e in entries] == [
+        ("r1.en-xa.en.txt", "r1.en-xa.xa.txt")]
+
+
+def test_dead_synthetic_round_exits_3(chain, tmp_path, monkeypatch, capsys):
+    root, cfg_path, out, _, _ = chain
+    monkeypatch.setattr(pipeline, "translate_corpus",
+                        lambda params, mcfg, vocab, texts, lang, **kw:
+                        ["" for _ in texts])
+    dead = tmp_path / "dead"
+    assert main(["synth-bt", "--round", "1", "--config", str(cfg_path),
+                 "--out", str(dead), "--from", str(out / "stage1.ckpt"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "synth.r1.en-xa" in err and "all 12 decodes" in err
+    assert not (dead / "synthetic" / "r1.entries.json").exists()

@@ -209,11 +209,34 @@ def test_manifest_roundtrip_and_registry(tmp_path):
     assert len(entries2) == 2
 
     vocab = train_bpe(["ab ba"], vocab_size=16)
-    languages, datasets = build_registry(mp, vocab)
+    datasets = build_registry(entries2, vocab, max_pieces=88)
     by_id = {d.id: d for d in datasets}
     assert by_id["mono_en"].size == 3  # empty line dropped
     assert by_id["para_aa"].size == 2
     assert by_id["para_aa"].items[0][0].dtype == np.int32
+
+
+def test_manifest_paths_resolve_against_its_directory(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    name = write_corpus(data, "mono.en.txt", ["ab ba"])
+    elsewhere = write_corpus(tmp_path, "mono.aa.txt", ["ba"])
+    save_manifest(data / "manifest.json",
+                  [LanguageId("en", True, False), LanguageId("aa", False, False)],
+                  [{"id": "mono_en", "kind": "mono", "lang": "en", "path": name},
+                   {"id": "mono_aa", "kind": "mono", "lang": "aa",
+                    "path": str(tmp_path / elsewhere)}])
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # relative to the manifest, not the working dir
+    _, entries = load_manifest("../data/manifest.json")
+    assert entries[0]["path"] == str(data / name)
+    assert entries[1]["path"] == str(tmp_path / elsewhere)  # absolute: kept
+    vocab = train_bpe(["ab ba"], vocab_size=16)
+    assert [d.size for d in build_registry(entries, vocab, max_pieces=88)] == [1, 1]
+    # the file itself still holds the relative name
+    doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["datasets"][0]["path"] == name
 
 
 def test_manifest_validation_enumerates_problems(tmp_path):
@@ -255,7 +278,7 @@ def test_registry_drops_long_and_mismatched(tmp_path):
     mp = tmp_path / "manifest.json"
     save_manifest(mp, langs, [{"id": "m", "kind": "mono", "lang": "en", "path": m}])
     vocab = train_bpe(["ab"], vocab_size=12)
-    _, datasets = build_registry(mp, vocab, max_pieces=88)
+    datasets = build_registry(load_manifest(mp)[1], vocab, max_pieces=88)
     assert datasets[0].size == 1
 
     # a pair goes when either side is blank or too long
@@ -263,7 +286,7 @@ def test_registry_drops_long_and_mismatched(tmp_path):
     t = write_corpus(tmp_path, "t.txt", ["ab", long_line, "ab", "ab"])
     save_manifest(mp, langs, [{"id": "p", "kind": "parallel", "src": "en", "tgt": "en",
                                "src_path": s, "tgt_path": t}])
-    _, datasets = build_registry(mp, vocab, max_pieces=88)
+    datasets = build_registry(load_manifest(mp)[1], vocab, max_pieces=88)
     assert datasets[0].size == 1
 
     s = write_corpus(tmp_path, "s.txt", ["ab", "ab"])
@@ -271,4 +294,4 @@ def test_registry_drops_long_and_mismatched(tmp_path):
     save_manifest(mp, langs, [{"id": "p", "kind": "parallel", "src": "en", "tgt": "en",
                                "src_path": s, "tgt_path": t}])
     with pytest.raises(DataError):
-        build_registry(mp, vocab)
+        build_registry(load_manifest(mp)[1], vocab, max_pieces=88)

@@ -16,7 +16,7 @@ from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
 from munmt.corpus import load_manifest, read_lines, save_manifest
 from munmt.errors import ConfigError, DataError, NumericError
 from munmt.model import init_params
-from munmt.pipeline import (ArmOptions, _filtered_manifest, build_context,
+from munmt.pipeline import (ArmOptions, build_context,
                             check_manifest_compat, generate_synthetic,
                             predict_sweep, run_algorithm1,
                             run_pipeline, run_stage1, run_stage2, run_stage3)
@@ -153,18 +153,10 @@ def test_mid_checkpoints_and_exact_resume(env):
 
 def test_stage1_rejects_synthetic_manifests(env, tmp_path):
     cfg = env[1]
-    languages, entries = load_manifest(cfg.manifest)
-    base = os.path.dirname(os.path.abspath(cfg.manifest))
-    doctored = []
-    for e in entries:
-        e = dict(e)
-        for key in ("path", "src_path", "tgt_path"):
-            if key in e:
-                e[key] = os.path.join(base, e[key])
-        doctored.append(e)
-    doctored[-1]["synthetic"] = True
+    languages, entries = load_manifest(cfg.manifest)  # paths come back resolved
+    entries[-1]["synthetic"] = True
     bad = tmp_path / "manifest.json"
-    save_manifest(bad, languages, doctored)
+    save_manifest(bad, languages, entries)
     cfg2 = copy.deepcopy(cfg)
     cfg2.manifest = str(bad)
     ctx2 = build_context(cfg2, str(tmp_path / "run"), quiet=True)
@@ -208,6 +200,12 @@ def test_round1_selects_the_configured_fraction(synth):
     assert meta["round"] == 1 and meta["source_dataset"] == "mono.xa"
     assert meta["line_indices"] == sorted(meta["line_indices"])
     assert len(meta["line_indices"]) == 12
+    # the entries file names its corpora relative to itself; the returned
+    # entries carry them resolved
+    synthetic = os.path.join(ctx.out_dir, "synthetic")
+    on_disk = json.load(open(os.path.join(synthetic, "r1.entries.json")))
+    assert on_disk[0]["src_path"] == "r1.en-xa.en.txt"
+    assert e["src_path"] == os.path.join(synthetic, "r1.en-xa.en.txt")
 
 
 def test_round2_is_larger_disjoint_and_bidirectional(synth):
@@ -270,6 +268,27 @@ def test_synthetic_entries_are_checked_like_manifest_entries(synth):
     for entry in bad:
         with pytest.raises(DataError, match="dataset"):
             ctx.registry(extra_entries=[entry])
+
+
+def test_entries_files_with_absolute_paths_still_load(synth, tmp_path):
+    ctx, _, r1, _ = synth
+    moved = dataclasses.replace(ctx, out_dir=str(tmp_path))
+    (tmp_path / "synthetic").mkdir()
+    with open(tmp_path / "synthetic" / "r1.entries.json", "w") as fh:
+        json.dump(r1, fh)  # as older runs wrote them: absolute paths
+    assert pipeline.stage_entries(moved, "stage2a") == r1
+
+
+def test_all_empty_synthetic_corpus_is_refused(env, monkeypatch):
+    ctx = ctx_at(env, "deadround")
+    monkeypatch.setattr(pipeline, "translate_corpus",
+                        lambda params, mcfg, vocab, texts, lang, **kw:
+                        ["" for _ in texts])
+    params = init_params(ctx.model_cfg, 5)
+    with pytest.raises(DataError, match="synth.r1.en-xa: all 12 decodes"):
+        generate_synthetic(ctx, params, 1)
+    assert not os.path.exists(os.path.join(ctx.out_dir, "synthetic",
+                                           "r1.entries.json"))
 
 
 def test_round2_needs_enough_lines(env):
@@ -423,19 +442,21 @@ def test_compat_rejects_supervised_targets(env):
         check_manifest_compat(cfg, languages, leak)
 
 
-def test_filtered_manifest_drops_named_datasets(env, tmp_path):
+def test_keep_aux_drops_other_auxiliaries_in_memory(env, tmp_path, monkeypatch):
     root, cfg, ctx = env
-    path = _filtered_manifest(cfg.manifest, ("parallel.ab-en",), str(tmp_path))
-    languages, entries = load_manifest(path)
-    ids = {e["id"] for e in entries}
-    assert "parallel.ab-en" not in ids and "parallel.aa-en" in ids
-    # paths were absolutized, so the copy works from its new home
-    for e in entries:
-        for key in ("path", "src_path", "tgt_path"):
-            if key in e:
-                assert os.path.isabs(e[key]) and os.path.exists(e[key])
-    with pytest.raises(ConfigError, match="unknown dataset"):
-        _filtered_manifest(cfg.manifest, ("no.such",), str(tmp_path))
+    parses = count_calls(monkeypatch, "load_manifest", corpus, pipeline)
+    kept = build_context(cfg, str(tmp_path / "oneaux"), quiet=True,
+                         arm=ArmOptions(keep_aux="aa"))
+    assert len(parses) == 1
+    # the context's entries are the manifest's, in order, minus parallel.ab-en
+    assert [e["id"] for e in kept.entries] == [
+        e["id"] for e in ctx.entries if e["id"] != "parallel.ab-en"]
+    assert [d.id for d in kept.registry()[1]] == [e["id"] for e in kept.entries]
+    assert os.listdir(tmp_path / "oneaux") == ["vocab.txt"]  # no manifest copy
+    # an auxiliary with no parallel data leaves the pivots unbridged
+    with pytest.raises(ConfigError, match="no parallel data"):
+        build_context(cfg, str(tmp_path / "noaux"), quiet=True,
+                      arm=ArmOptions(keep_aux="zz"))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +485,8 @@ def test_run_pipeline_end_to_end(env, tmp_path, monkeypatch):
     summary = run_pipeline(cfg, str(tmp_path / "run"), quiet=True)
     # the manifest is tokenized once; synthetic rounds are added per stage
     assert len(builds) == 1
-    # read once by build_context, once by the registry build; checked once
-    assert len(parses) == 2 and len(checks) == 1
+    # read and checked once, by build_context; the registry build parses nothing
+    assert len(parses) == 1 and len(checks) == 1
     assert set(summary["stages"]) == {"stage1", "stage2a", "stage2b", "stage3"}
     for scores in summary["stages"].values():
         assert set(scores) == {"en-xa", "xa-en"}

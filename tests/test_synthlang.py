@@ -263,13 +263,18 @@ def test_testsets_file(bench):
     assert doc["eval_directions"] == ["en-xa", "xa-en"]
     assert set(doc["dev"]) == {"en", "aa", "ab", "xa"}
     assert set(doc["test"]) == {"en", "aa", "ab", "xa"}
+    # read back resolved against the file's directory; stored as bare names
+    assert doc["test"]["en"] == paths["test.en.txt"]
+    with open(paths["testsets"]) as fh:
+        assert json.load(fh)["test"]["en"] == "test.en.txt"
 
 
 def test_benchmark_deterministic(tmp_path):
     p1 = build_benchmark(small_cfg(tmp_path / "one"))
     p2 = build_benchmark(small_cfg(tmp_path / "two"))
-    for name in ("mono.xa.txt", "parallel.aa-en.aa.txt", "test.en.txt"):
-        assert open(p1[name]).read() == open(p2[name]).read()
+    for name in ("mono.xa.txt", "parallel.aa-en.aa.txt", "test.en.txt",
+                 "manifest", "testsets", "benchmark"):
+        assert open(p1[name]).read() == open(p2[name]).read()  # wherever built
 
 
 def test_registry_ingests_benchmark(bench):
@@ -278,7 +283,8 @@ def test_registry_ingests_benchmark(bench):
     for lang in ("en", "aa", "ab", "xa"):
         lines += open(paths[f"mono.{lang}.txt"]).read().splitlines()
     vocab = train_bpe(lines, vocab_size=220)
-    languages, datasets = build_registry(paths["manifest"], vocab)
+    _, entries = load_manifest(paths["manifest"])
+    datasets = build_registry(entries, vocab, max_pieces=88)
     assert len(datasets) == 6
     for ds in datasets:
         assert ds.size > 0
