@@ -23,6 +23,7 @@ checkpoint at the target path.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -38,6 +39,9 @@ MAGIC = b"MUNM"
 VERSION = 1
 
 STAGES = ("1", "2a", "2b", "3")
+HEADER_TYPES = {"stage": str, "step": int, "tensor_count": int, "vocab_digest": str,
+                "config_digest": str, "meta": dict, "optimizer": (dict, type(None))}
+OPTIMIZER_TYPES = {"kind": str, "step": int, "names": list}
 
 
 class Checkpoint:
@@ -71,19 +75,25 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return buf
+    """The next n bytes, refused before reading when fewer are left."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint file: {n} bytes wanted, {left} left")
+    return fh.read(n)
+
+
+def _wrong_types(doc: dict, types: dict) -> list:
+    """The keys of `doc` whose value is not of the type `types` gives it."""
+    return [k for k, kind in types.items() if k in doc and (
+        not isinstance(doc[k], kind) or (kind is int and isinstance(doc[k], bool)))]
 
 
 def _read_tensor(fh):
     (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
     name = _read_exact(fh, nlen).decode("utf-8")
     (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank)) if rank else ()
-    size = int(np.prod(dims)) if rank else 1
-    data = np.frombuffer(_read_exact(fh, 4 * size), dtype="<f4").reshape(dims)
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
+    data = np.frombuffer(_read_exact(fh, 4 * math.prod(dims)), dtype="<f4").reshape(dims)
     return name, data.astype(np.float32, copy=True)
 
 
@@ -146,9 +156,10 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
             header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: corrupt header ({e})") from None
-        for key in ("stage", "step", "tensor_count"):
-            if key not in header:
-                raise CheckpointError(f"{path}: header missing {key!r}")
+        if not isinstance(header, dict) or not {"stage", "step", "tensor_count"} <= header.keys():
+            raise CheckpointError(f"{path}: header lacks stage, step or tensor_count")
+        if bad := _wrong_types(header, HEADER_TYPES):
+            raise CheckpointError(f"{path}: header fields of the wrong type: {bad}")
         tensors = {}
         for _ in range(header["tensor_count"]):
             name, arr = _read_tensor(fh)
@@ -173,6 +184,8 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
                    if k not in oh]
         if missing:
             raise CheckpointError(f"{path}: optimizer header missing {missing}")
+        if bad := _wrong_types(oh, OPTIMIZER_TYPES):
+            raise CheckpointError(f"{path}: optimizer fields of the wrong type: {bad}")
         if oh["kind"] not in OPTIMIZERS:
             raise CheckpointError(f"{path}: unknown optimizer kind {oh['kind']!r}")
         if (oh["beta1"], oh["beta2"], oh["eps"]) != (BETA1, BETA2, EPS):

@@ -22,7 +22,7 @@ from .evaluation import evaluate_model, format_report, write_report
 from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, build_context,
                        generate_benchmark, generate_synthetic, run_pipeline,
                        run_stage1, run_stage2, run_stage3, save_resolved_config,
-                       save_run_meta, stage_entries, synthetic_rounds)
+                       save_run_meta, synthetic_rounds)
 
 ARMS = ("no-synthetic", "single-aux", "bt-only")
 
@@ -138,14 +138,12 @@ def cmd_stage2(args):
     started = time.time()
     ctx = _context(args)
     label = f"stage2{args.round}"
-    entries = stage_entries(ctx, label)
     if args.resume:
         ck = _resume_ckpt(ctx, args.resume, label)
-        final = run_stage2(ctx, ck.params, label, entries,
-                           opt=ck.opt, start_step=ck.step)
+        final = run_stage2(ctx, ck.params, label, opt=ck.opt, start_step=ck.step)
     else:
         ck = _load_ckpt(ctx, _from_path(args, "stage2", args.round))
-        final = run_stage2(ctx, ck.params, label, entries)
+        final = run_stage2(ctx, ck.params, label)
     print(f"{label} done at step {final.step}: "
           f"{os.path.join(args.out, label + '.ckpt')}")
     save_run_meta(args.out, started, command=label)
@@ -155,13 +153,11 @@ def cmd_stage2(args):
 def cmd_stage3(args):
     started = time.time()
     ctx = _context(args)
-    if os.path.exists(synthetic_rounds(ctx, "r2")[2]):
-        entries = stage_entries(ctx, "stage3")
-    else:
-        entries = []
-        ctx.say("[stage3] no synthetic entries found; training bt/ct only")
+    if not os.path.exists(synthetic_rounds(ctx, "r2")[2]):
+        ctx.say("[stage3] no round-2 entries file; running as the no-synthetic arm")
+        ctx.arm = ArmOptions(use_synthetic=False)
     ck = _load_ckpt(ctx, _from_path(args, "stage3"))
-    final = run_stage3(ctx, ck.params, entries)
+    final = run_stage3(ctx, ck.params)
     print(f"stage3 done after {final.meta['sweeps_run']} sweeps: "
           f"{os.path.join(args.out, 'stage3.ckpt')}")
     save_run_meta(args.out, started, command="stage3")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, DataError
@@ -264,15 +265,25 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+DATA_PATH_KEYS = ("manifest", "testsets")
+
+
 def read_config_doc(path) -> dict:
-    """The raw JSON document of a config file, before overrides and checks."""
+    """The raw JSON document of a config file, before overrides and checks.
+    Its manifest and testsets paths are relative to the file, and come back
+    joined to its directory (an absolute path stays as it is)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    root = os.path.dirname(os.path.abspath(path))
+    for key in DATA_PATH_KEYS:
+        if isinstance(doc, dict) and isinstance(doc.get(key), str) and doc[key]:
+            doc[key] = os.path.join(root, doc[key])
+    return doc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -325,7 +336,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
     files count by the digest of their bytes, not by their paths, so the same
     run under another spelling of its directory has the same digest."""
     doc = to_dict(cfg)
-    for key in ("manifest", "testsets"):
+    for key in DATA_PATH_KEYS:
         if doc[key] is not None:
             doc[key] = file_digest(doc[key])
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -101,38 +101,18 @@ def pad_block(seqs, pad_id: int = tok.PAD) -> np.ndarray:
     return out
 
 
-@dataclass
-class Batch:
-    dataset_id: str
-    kind: str
-    src_ids: np.ndarray  # mono batches store the sentences here
-    tgt_ids: np.ndarray | None = None
-    lang: str | None = None
-    src_lang: str | None = None
-    tgt_lang: str | None = None
-
-
-def _batch(ds: Dataset, idx) -> Batch:
-    """The padded batch of `ds.items` at the indices `idx`."""
-    if ds.kind == "mono":
-        return Batch(ds.id, "mono", pad_block([ds.items[i] for i in idx]), lang=ds.lang)
-    srcs = [ds.items[i][0] for i in idx]
-    tgts = [ds.items[i][1] for i in idx]
-    return Batch(ds.id, "parallel", pad_block(srcs), pad_block(tgts),
-                 src_lang=ds.src, tgt_lang=ds.tgt)
-
-
-def draw_batch(ds: Dataset, batch_size: int, rng: np.random.Generator) -> Batch:
-    """Sample `batch_size` items with replacement and pad."""
+def draw_batch(ds: Dataset, batch_size: int, rng: np.random.Generator) -> list:
+    """`batch_size` of the dataset's items, drawn uniformly with replacement."""
     if ds.size == 0:
         raise DataError(f"dataset {ds.id} is empty")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    return _batch(ds, rng.integers(0, ds.size, size=batch_size))
+    return [ds.items[i] for i in rng.integers(0, ds.size, size=batch_size)]
 
 
 def bucket_batches(ds: Dataset, max_tokens: int = 2000, bucket_width: int = 8):
-    """Partition a dataset into batches of similar-length items.
+    """Partition a dataset's items into batches (lists of items) of similar
+    length.
 
     Items are grouped by length bucket (width `bucket_width`) and each batch
     satisfies  (#items * padded_length) <= max_tokens, padded_length being the
@@ -148,32 +128,28 @@ def bucket_batches(ds: Dataset, max_tokens: int = 2000, bucket_width: int = 8):
         return len(item)
 
     buckets = {}
-    for i, item in enumerate(ds.items):
+    for item in ds.items:
         L = length(item)
         if L > max_tokens:
             raise DataError(
                 f"item of length {L} in {ds.id} cannot fit a {max_tokens}-token batch"
             )
-        buckets.setdefault((L - 1) // bucket_width, []).append(i)
+        buckets.setdefault((L - 1) // bucket_width, []).append(item)
 
     batches = []
     for b in sorted(buckets):
-        group = buckets[b]
-        cur = []
-        cur_max = 0
-        for i in group:
-            L = length(ds.items[i])
+        cur, cur_max = [], 0
+        for item in buckets[b]:
+            L = length(item)
             new_max = max(cur_max, L)
             if cur and (len(cur) + 1) * new_max > max_tokens:
                 batches.append(cur)
-                cur, cur_max = [], 0
-                new_max = L
-            cur.append(i)
+                cur, new_max = [], L
+            cur.append(item)
             cur_max = new_max
         if cur:
             batches.append(cur)
-
-    return [_batch(ds, index_list) for index_list in batches]
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +162,18 @@ def read_lines(path):
             return fh.read().splitlines()
     except OSError as e:
         raise DataError(f"cannot read corpus file {path}: {e}") from None
+
+
+def write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """`doc` as JSON, indented, keys sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_manifest(path):
@@ -277,9 +265,7 @@ def save_manifest(path, languages, entries) -> None:
         "datasets": entries,
     }
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(tmp, doc)
     os.replace(tmp, path)
 
 

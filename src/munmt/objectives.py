@@ -21,17 +21,6 @@ from .model import ModelConfig, ModelParams, forward_logits, greedy_decode_batch
 from .tokenizer import BOS, EOS, MASK, PAD
 
 
-def _rows_of(block: np.ndarray) -> list:
-    """Padded block -> list of 1-D id arrays (PAD-stripped)."""
-    return [row[row != PAD] for row in np.asarray(block)]
-
-
-def _as_rows(x) -> list:
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return _rows_of(x)
-    return [np.asarray(r, dtype=np.int32) for r in x]
-
-
 def _teacher_blocks(tgt_rows: list):
     """Decoder inputs (BOS + y) and targets (y + EOS), right-padded."""
     dec_in = [np.concatenate(([BOS], r)).astype(np.int32) for r in tgt_rows]
@@ -57,17 +46,14 @@ def cross_entropy_loss(params: ModelParams, cfg: ModelConfig, src, tgt,
                        tgt_lang: str) -> T.Tensor:
     """Teacher-forced translation loss src -> tgt in language tgt_lang.
 
-    `src`/`tgt` are padded id blocks or lists of raw id rows (no BOS/EOS;
-    those are added here)."""
-    src_rows = _as_rows(src)
-    tgt_rows = _as_rows(tgt)
-    if len(src_rows) != len(tgt_rows):
+    `src`/`tgt` are sequences of unpadded id rows (no BOS/EOS; those are
+    added here), padded once, here."""
+    if len(src) != len(tgt):
         raise DataError("source and target batches differ in size")
-    if any(len(r) == 0 for r in src_rows) or any(len(r) == 0 for r in tgt_rows):
+    if any(len(r) == 0 for r in src) or any(len(r) == 0 for r in tgt):
         raise DataError("empty sentence in a loss batch")
-    src_block = pad_block(src_rows)
-    dec_in, target = _teacher_blocks(tgt_rows)
-    logits = forward_logits(params, cfg, src_block, dec_in, tgt_lang)
+    dec_in, target = _teacher_blocks(tgt)
+    logits = forward_logits(params, cfg, pad_block(src), dec_in, tgt_lang)
     return sequence_nll(logits, target)
 
 
@@ -114,9 +100,9 @@ def mass_loss_for_spec(params, cfg, ids: np.ndarray, lang: str, spec: MaskSpec) 
     return cross_entropy_loss(params, cfg, [masked], [segment], lang)
 
 
-def mass_loss(params, cfg, batch, lang: str, rng: np.random.Generator) -> T.Tensor:
-    """Batched masked-span loss; each row draws its own span from `rng`."""
-    rows = _as_rows(batch)
+def mass_loss(params, cfg, rows, lang: str, rng: np.random.Generator) -> T.Tensor:
+    """Batched masked-span loss over id rows; each row draws its own span
+    from `rng`."""
     masked_rows, segments = [], []
     for r in rows:
         spec = draw_mask_spec(len(r), rng)
@@ -156,30 +142,27 @@ def _decode_then_score(params, cfg, src_rows, tgt_rows, via_lang: str,
     return DecodeLossResult(loss, len(kept), skipped)
 
 
-def back_translation_loss(params, cfg, batch, x_lang: str, via_lang: str,
+def back_translation_loss(params, cfg, rows, x_lang: str, via_lang: str,
                           max_len: int) -> DecodeLossResult:
-    """Round-trip loss on mono data: translate x into via_lang with gradients
-    off, then score translating that intermediate back into x."""
+    """Round-trip loss on mono id rows: translate x into via_lang with
+    gradients off, then score translating that intermediate back into x."""
     if via_lang == x_lang:
         raise ConfigError("back-translation needs a different intermediate language")
-    rows = _as_rows(batch)
     if not rows:
         raise DataError("empty back-translation batch")
     return _decode_then_score(params, cfg, rows, rows, via_lang, x_lang, max_len)
 
 
-def cross_translation_loss(params, cfg, src_batch, tgt_batch, src_lang: str,
+def cross_translation_loss(params, cfg, src_rows, tgt_rows, src_lang: str,
                            tgt_lang: str, via_lang: str,
                            max_len: int) -> DecodeLossResult:
-    """Pivot loss on parallel data (x, y): translate x into a third language
-    with gradients off, then score translating that into y."""
+    """Pivot loss on parallel id rows (x, y): translate x into a third
+    language with gradients off, then score translating that into y."""
     if via_lang in (src_lang, tgt_lang):
         raise ConfigError(
             f"cross-translation language {via_lang!r} must differ from the pair "
             f"({src_lang!r}, {tgt_lang!r})"
         )
-    src_rows = _as_rows(src_batch)
-    tgt_rows = _as_rows(tgt_batch)
     if len(src_rows) != len(tgt_rows):
         raise DataError("source and target batches differ in size")
     return _decode_then_score(params, cfg, src_rows, tgt_rows, via_lang, tgt_lang,

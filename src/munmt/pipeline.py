@@ -18,10 +18,12 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_digest, file_digest, to_dict
+from .config import (DATA_PATH_KEYS, ExperimentConfig, config_digest,
+                     file_digest, to_dict)
 from .corpus import (SamplingPolicy, bucket_batches, build_registry,
                      choose_dataset, draw_batch, entry_problems, load_dataset,
-                     load_manifest, read_lines, resolve_paths)
+                     load_manifest, read_lines, resolve_paths, write_json,
+                     write_lines)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, translate_corpus, write_report
 from .model import ModelConfig, ModelParams, init_params
@@ -36,11 +38,21 @@ STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 
 
 @dataclass
+class ArmOptions:
+    """Ablation switches. The default is the full method."""
+
+    use_synthetic: bool = True
+    keep_aux: str | None = None  # keep only this auxiliary's real parallel data
+    stage3_objectives: tuple | None = None  # None = all of bt/ct/ce
+
+
+@dataclass
 class RunContext:
     """Everything the stage runners share: config, model geometry, vocab,
     the manifest's languages and dataset entries (read, with their paths
     resolved, and checked against the pivot table once, by build_context),
-    and where artifacts go."""
+    the ablation arm, which picks each stage's datasets and objectives, and
+    where artifacts go."""
 
     cfg: ExperimentConfig
     model_cfg: ModelConfig
@@ -51,6 +63,7 @@ class RunContext:
     vocab_digest: str = ""
     config_digest: str = ""
     quiet: bool = False
+    arm: ArmOptions = field(default_factory=ArmOptions)
     # the manifest's tokenized corpora, built on the first registry() call
     _registry: list | None = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -59,13 +72,12 @@ class RunContext:
         if not self.quiet:
             print(msg, flush=True)
 
-    def registry(self, extra_entries=None):
+    def registry(self, extra_entries=()):
         """(languages, datasets): the manifest's corpora, tokenized once per
         context, followed by `extra_entries` (e.g. synthetic rounds), which
         are checked like manifest entries and tokenized on every call. Each
         call returns a fresh list."""
-        extra = list(extra_entries or [])
-        problems = entry_problems(extra, self.languages,
+        problems = entry_problems(extra_entries, self.languages,
                                   taken={e["id"] for e in self.entries})
         if problems:
             raise DataError("; ".join(problems))
@@ -73,16 +85,7 @@ class RunContext:
         if self._registry is None:
             self._registry = build_registry(self.entries, self.vocab, limit)
         return self.languages, self._registry + [
-            load_dataset(e, self.vocab, limit) for e in extra]
-
-
-@dataclass
-class ArmOptions:
-    """Ablation switches. The default is the full method."""
-
-    use_synthetic: bool = True
-    keep_aux: str | None = None  # keep only this auxiliary's real parallel data
-    stage3_objectives: tuple | None = None  # None = all of bt/ct/ce
+            load_dataset(e, self.vocab, limit) for e in extra_entries]
 
 
 class AuditLog:
@@ -107,15 +110,11 @@ class AuditLog:
         val = "skip" if loss is None else "%.10g" % loss
         self.fh.write(f"{step}\t{dataset}\t{objective}\t{src_lang}\t{tgt_lang}\t{val}\n")
 
-    def close(self):
-        self.fh.flush()
-        self.fh.close()
-
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        self.fh.close()
 
 
 def _english_and_targets(languages):
@@ -208,20 +207,16 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
             rng = named_rng(ctx.cfg.seed, f"{label}:step{t}")
             ds = choose_dataset(datasets, policy, rng)
             batch = draw_batch(ds, ctx.cfg.batch_size, rng)
-            if batch.kind == "mono":
-                loss = mass_loss(params, mcfg, batch.src_ids, batch.lang, rng)
-                obj, src_l, tgt_l = "mass", batch.lang, batch.lang
-            elif ds.synthetic:
-                loss = cross_entropy_loss(params, mcfg, batch.src_ids,
-                                          batch.tgt_ids, batch.tgt_lang)
-                obj, src_l, tgt_l = "ce", batch.src_lang, batch.tgt_lang
+            if ds.kind == "mono":
+                loss = mass_loss(params, mcfg, batch, ds.lang, rng)
+                obj, src_l, tgt_l = "mass", ds.lang, ds.lang
             else:
-                fwd = cross_entropy_loss(params, mcfg, batch.src_ids,
-                                         batch.tgt_ids, batch.tgt_lang)
-                rev = cross_entropy_loss(params, mcfg, batch.tgt_ids,
-                                         batch.src_ids, batch.src_lang)
-                loss = T.add(fwd, rev)
-                obj, src_l, tgt_l = "ce2", batch.src_lang, batch.tgt_lang
+                src, tgt = zip(*batch)
+                loss = cross_entropy_loss(params, mcfg, src, tgt, ds.tgt)
+                obj, src_l, tgt_l = "ce", ds.src, ds.tgt
+                if not ds.synthetic:
+                    rev = cross_entropy_loss(params, mcfg, tgt, src, ds.src)
+                    loss, obj = T.add(loss, rev), "ce2"
             val = _update(params, opt, loss, lr_at(spec.lr, t), spec,
                           f"{label} step {t} (dataset {ds.id})")
             audit.note(t, ds.id, obj, src_l, tgt_l, val)
@@ -253,33 +248,23 @@ def run_stage1(ctx: RunContext, params: ModelParams | None = None,
 
 
 def run_stage2(ctx: RunContext, params: ModelParams, label: str,
-               extra_entries, opt: OptimState | None = None,
-               start_step: int = 0) -> Checkpoint:
-    """label is "stage2a" or "stage2b"; extra_entries carries the synthetic
-    datasets for this round (and, optionally, kept earlier rounds)."""
+               opt: OptimState | None = None, start_step: int = 0) -> Checkpoint:
+    """label is "stage2a" or "stage2b". Trains on the manifest's data plus
+    the synthetic rounds stage_entries gives the label; under an arm without
+    synthetic data, on the manifest's data alone, with the same budget."""
     if label not in ("stage2a", "stage2b"):
         raise ConfigError(f"unknown stage label {label!r}")
-    pool = ctx.entries + list(extra_entries or [])
-    if not any(e.get("synthetic") for e in pool):
+    synthetic = stage_entries(ctx, label)
+    if ctx.arm.use_synthetic and not any(
+            e.get("synthetic") for e in ctx.entries + synthetic):
         raise DataError(f"{label} expects at least one synthetic parallel dataset")
-    _, datasets = ctx.registry(extra_entries=extra_entries)
+    _, datasets = ctx.registry(extra_entries=synthetic)
     return run_algorithm1(ctx, params, datasets, label, getattr(ctx.cfg, label),
                           STAGE_TAGS[label], opt=opt, start_step=start_step)
 
 
 # ---------------------------------------------------------------------------
 # synthetic parallel data
-
-
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _synthesize(ctx, params, round_idx, source, lines, sel, into):
@@ -300,9 +285,9 @@ def _synthesize(ctx, params, round_idx, source, lines, sel, into):
                         f"decodes into {into} came back empty")
     out_root = os.path.join(ctx.out_dir, "synthetic")
     into_name, orig_name = f"{stem}.{into}.txt", f"{stem}.{orig}.txt"
-    _write_lines(os.path.join(out_root, into_name), decoded)
-    _write_lines(os.path.join(out_root, orig_name), src_texts)
-    _write_json(os.path.join(out_root, f"{stem}.meta.json"), {
+    write_lines(os.path.join(out_root, into_name), decoded)
+    write_lines(os.path.join(out_root, orig_name), src_texts)
+    write_json(os.path.join(out_root, f"{stem}.meta.json"), {
         "round": round_idx, "source_dataset": source["id"],
         "line_indices": [int(i) for i in sel],
         "empty_decodes": sum(1 for d in decoded if not d)})
@@ -367,7 +352,7 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
             sel = np.sort(perm[i * m:(i + 1) * m])
             out_entries.append(_synthesize(ctx, params, 2, entry, en_lines, sel, x))
 
-    _write_json(path, out_entries)
+    write_json(path, out_entries)
     return resolve_paths(out_entries, path)
 
 
@@ -388,7 +373,9 @@ def synthetic_rounds(ctx: RunContext, label: str) -> dict:
 def stage_entries(ctx: RunContext, label: str) -> list:
     """The synthetic dataset entries `label` trains on, read back from the
     entries files of its rounds (see synthetic_rounds), each path resolved
-    against its entries file."""
+    against its entries file; none under an arm without synthetic data."""
+    if not ctx.arm.use_synthetic:
+        return []
     entries = []
     for n, path in synthetic_rounds(ctx, label).items():
         try:
@@ -461,9 +448,10 @@ def _mean_bleu(ctx, params, sets):
     return sum(r.bleu.score for r in rows) / len(rows), rows
 
 
-def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
-               objectives=None) -> Checkpoint:
-    """Fine-tune with back-translation, cross-translation, and synthetic CE.
+def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
+    """Fine-tune with back-translation, cross-translation, and synthetic CE,
+    on the manifest's data plus stage_entries(ctx, "stage3"), restricted to
+    the arm's stage-3 objectives.
 
     Deterministic: no sampling. Batches come from a fixed length-bucketed
     partition of each dataset; sweep s uses batch s modulo the partition size.
@@ -474,17 +462,14 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
     """
     spec = ctx.cfg.stage3
     english, _ = _english_and_targets(ctx.languages)
-    _, datasets = ctx.registry(extra_entries=extra_entries)
-    plan = predict_sweep(ctx.languages, datasets, ctx.cfg.pivots, objectives)
+    _, datasets = ctx.registry(extra_entries=stage_entries(ctx, "stage3"))
+    plan = predict_sweep(ctx.languages, datasets, ctx.cfg.pivots,
+                         ctx.arm.stage3_objectives)
     if not plan:
         raise DataError("stage 3 plan is empty: nothing to train")
     by_id = {ds.id: ds for ds in datasets}
-    batches = {}
-    for ds_id in {p[0] for p in plan}:
-        batches[ds_id] = bucket_batches(by_id[ds_id], spec.max_tokens,
-                                        spec.bucket_width)
-        if not batches[ds_id]:
-            raise DataError(f"dataset {ds_id} produced no batches")
+    batches = {ds_id: bucket_batches(by_id[ds_id], spec.max_tokens, spec.bucket_width)
+               for ds_id in {p[0] for p in plan}}  # a dataset is never empty
 
     opt = OptimState.init(params, kind=spec.optimizer)
     lr = ctx.cfg.stage1.lr.peak / spec.lr_divisor
@@ -506,25 +491,23 @@ def run_stage3(ctx: RunContext, params: ModelParams, extra_entries,
                 blist = batches[ds_id]
                 batch = blist[sweep % len(blist)]
                 if obj == "bt":
-                    res = back_translation_loss(params, mcfg, batch.src_ids,
+                    res = back_translation_loss(params, mcfg, batch,
                                                 x_lang=tgt_l, via_lang=src_l,
                                                 max_len=spec.max_len)
                     loss = res.loss
-                elif obj == "ct":
+                elif obj == "ct":  # from the auxiliary side to the English one
+                    x, y = zip(*batch)
+                    x_lang = ds.src
                     if ds.src == english:
-                        x_block, y_block = batch.tgt_ids, batch.src_ids
-                        x_lang = ds.tgt
-                    else:
-                        x_block, y_block = batch.src_ids, batch.tgt_ids
-                        x_lang = ds.src
-                    res = cross_translation_loss(params, mcfg, x_block, y_block,
+                        x, y, x_lang = y, x, ds.tgt
+                    res = cross_translation_loss(params, mcfg, x, y,
                                                  src_lang=x_lang, tgt_lang=tgt_l,
                                                  via_lang=src_l,
                                                  max_len=spec.max_len)
                     loss = res.loss
                 else:
-                    loss = cross_entropy_loss(params, mcfg, batch.src_ids,
-                                              batch.tgt_ids, batch.tgt_lang)
+                    src, tgt = zip(*batch)
+                    loss = cross_entropy_loss(params, mcfg, src, tgt, ds.tgt)
                 if loss is None:
                     audit.note(attempt, ds_id, obj, src_l, tgt_l, None)
                     attempt += 1
@@ -578,14 +561,23 @@ def generate_benchmark(cfg: ExperimentConfig, out_dir) -> None:
 
 
 def save_resolved_config(cfg: ExperimentConfig, out_dir) -> None:
-    """Snapshot the config a run actually used to out_dir/resolved_config.json."""
-    _write_json(os.path.join(out_dir, "resolved_config.json"), to_dict(cfg))
+    """Snapshot the config a run actually used to out_dir/resolved_config.json,
+    naming a data file inside out_dir (its own benchmark) relative to it and
+    any other by its absolute path, so it reads back from any directory."""
+    doc = to_dict(cfg)
+    root = os.path.abspath(out_dir)
+    for key in DATA_PATH_KEYS:
+        if doc[key] is not None:
+            path = os.path.abspath(doc[key])
+            inside = os.path.commonpath([root, path]) == root
+            doc[key] = os.path.relpath(path, root) if inside else path
+    write_json(os.path.join(out_dir, "resolved_config.json"), doc)
 
 
 def save_run_meta(out_dir, started: float, **extra) -> None:
     """Write out_dir/run_meta.json, the one artifact with wall-clock times."""
-    _write_json(os.path.join(out_dir, "run_meta.json"),
-                dict(extra, started=started, finished=time.time()))
+    write_json(os.path.join(out_dir, "run_meta.json"),
+               dict(extra, started=started, finished=time.time()))
 
 
 def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
@@ -613,13 +605,9 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
                    if e["kind"] != "parallel" or e.get("synthetic")
                    or arm.keep_aux in (e["src"], e["tgt"])]
     check_manifest_compat(cfg, languages, entries)
-    lines = []
-    for e in entries:
-        if e["kind"] == "mono":
-            lines.extend(read_lines(e["path"]))
-        else:
-            lines.extend(read_lines(e["src_path"]))
-            lines.extend(read_lines(e["tgt_path"]))
+    sides = {"mono": ("path",), "parallel": ("src_path", "tgt_path")}
+    lines = [line for e in entries for key in sides[e["kind"]]
+             for line in read_lines(e[key])]
     if not quiet:
         print(f"[vocab] training BPE ({cfg.vocab_size} pieces) on "
               f"{len(lines)} lines", flush=True)
@@ -630,7 +618,7 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     mcfg = ModelConfig(languages=[l.name for l in languages],
                        vocab_size=vocab.size, **asdict(cfg.model)).validate()
     return RunContext(cfg, mcfg, vocab, languages, entries, out_dir,
-                      vocab_digest(vocab_path), config_digest(cfg), quiet)
+                      vocab_digest(vocab_path), config_digest(cfg), quiet, arm)
 
 
 def _report(ctx, params, test_sets, label, scores):
@@ -652,7 +640,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     stage 3, and per-stage test reports. Returns a summary dict, also written
     to out_dir/summary.json. Wall-clock timestamps only ever land in
     run_meta.json, so everything else is byte-stable for a fixed config."""
-    arm = arm or ArmOptions()
     started = time.time()
     ctx = build_context(cfg, out_dir, quiet=quiet, arm=arm)
     cfg = ctx.cfg
@@ -666,23 +653,18 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     _report(ctx, params, test_sets, "stage1", scores)
 
     for round_idx, label in ((1, "stage2a"), (2, "stage2b")):
-        if arm.use_synthetic:
+        if ctx.arm.use_synthetic:
             generate_synthetic(ctx, params, round_idx)
-            run_stage2(ctx, params, label, stage_entries(ctx, label))
-        else:  # compute-matched ablation: same stage-2 budgets, real data only
-            _, datasets = ctx.registry()
-            run_algorithm1(ctx, params, datasets, label, getattr(cfg, label),
-                           STAGE_TAGS[label])
+        run_stage2(ctx, params, label)
         _report(ctx, params, test_sets, label, scores)
 
-    synthetic = stage_entries(ctx, "stage3") if arm.use_synthetic else []
-    ck = run_stage3(ctx, params, synthetic, objectives=arm.stage3_objectives)
+    ck = run_stage3(ctx, params)
     _report(ctx, params, test_sets, "stage3", scores)
 
     summary = {"stages": scores, "best_dev": ck.meta.get("best_dev"),
                "vocab_digest": ctx.vocab_digest,
                "config_digest": ctx.config_digest,
                "manifest_digest": file_digest(ctx.cfg.manifest)}
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     save_run_meta(out_dir, started)
     return summary

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import LanguageId, save_manifest
+from .corpus import LanguageId, save_manifest, write_json, write_lines
 from .errors import ConfigError, DataError
 from .rng import named_rng
 
@@ -228,11 +228,8 @@ def make_derived_spec(name: str, base: LanguageSpec, window: int = 0,
 
 
 def save_language_specs(path, specs) -> None:
-    doc = {"format": "munmt-languages", "version": 1,
-           "languages": [asdict(s) for s in specs]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"format": "munmt-languages", "version": 1,
+                      "languages": [asdict(s) for s in specs]})
 
 
 def load_language_specs(path) -> dict:
@@ -397,10 +394,8 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
     train_strings = set()
 
     def write(name, lines):
-        p = os.path.join(cfg.out_dir, name)
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths[name] = p
+        paths[name] = os.path.join(cfg.out_dir, name)
+        write_lines(paths[name], lines)
         return name
 
     entries = []
@@ -447,11 +442,9 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
     for t in sorted(targets):
         directions += [f"{cfg.base_name}-{t}", f"{t}-{cfg.base_name}"]
     testsets_path = os.path.join(cfg.out_dir, "testsets.json")
-    with open(testsets_path, "w", encoding="utf-8") as fh:
-        json.dump({"format": "munmt-testsets", "version": 1,
-                   "dev": split_files["dev"], "test": split_files["test"],
-                   "eval_directions": directions}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(testsets_path, {"format": "munmt-testsets", "version": 1,
+                               "dev": split_files["dev"], "test": split_files["test"],
+                               "eval_directions": directions})
 
     langs_path = os.path.join(cfg.out_dir, "languages.json")
     save_language_specs(langs_path, [specs[l] for l in lang_order])
@@ -460,9 +453,7 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
     doc = asdict(cfg)
     del doc["out_dir"]  # the file's own directory: its bytes must not depend on it
     doc["targets"] = {k: asdict(v) for k, v in targets.items()}
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg_path, doc)
 
     paths.update(manifest=manifest_path, testsets=testsets_path,
                  languages=langs_path, benchmark=cfg_path)
@@ -471,7 +462,8 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
 
 def load_testsets(path) -> dict:
     """The testsets document, each dev and test file resolved against the
-    directory of `path`."""
+    directory of `path`, each eval direction checked to name two languages
+    that both splits map."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -485,4 +477,12 @@ def load_testsets(path) -> dict:
             doc[split] = {lang: os.path.join(root, p) for lang, p in doc[split].items()}
     except (KeyError, AttributeError, TypeError):
         raise DataError(f"{path}: dev and test must map languages to files") from None
+    directions = doc.get("eval_directions")
+    if not isinstance(directions, list):
+        raise DataError(f"{path}: eval_directions must be a list of directions")
+    for d in directions:
+        pair = d.split("-") if isinstance(d, str) else ()
+        if len(pair) != 2 or not all(l in doc[s] for s in ("dev", "test") for l in pair):
+            raise DataError(f"{path}: eval direction {d!r} must name two languages "
+                            "that dev and test both map")
     return doc

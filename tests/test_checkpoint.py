@@ -79,10 +79,12 @@ def test_wrongly_sized_second_moment_rejected(tmp_path):
     ("kind", None), ("step", None), ("names", None),
     ("beta1", None), ("beta2", None), ("eps", None),
     ("kind", "sgd"), ("beta1", 0.88), ("beta2", 0.97), ("eps", 2e-8),
+    ("step", "3"),
 ])
 def test_untrusted_optimizer_header_rejected(tmp_path, key, value):
-    """A missing key, an unknown kind, or betas/eps other than the optimizer's
-    constants: the header is refused (value None removes the key)."""
+    """A missing key, an unknown kind, a step that is no integer, or betas/eps
+    other than the optimizer's constants: the header is refused (value None
+    removes the key)."""
     params = init_params(cfg(), seed=4)
     p = tmp_path / "oh.ckpt"
     save_checkpoint(Checkpoint(params, OptimState.init(params, kind="adam"), "1", 3), p)
@@ -144,6 +146,33 @@ def test_trailing_garbage_rejected(tmp_path):
     save_checkpoint(Checkpoint(params, None, "1", 0), p)
     p.write_bytes(p.read_bytes() + b"xx")
     with pytest.raises(CheckpointError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tensor_count", "1"), ("step", "3"), ("step", True), ("meta", [1]),
+])
+def test_header_field_of_the_wrong_type_rejected(tmp_path, key, value):
+    params = init_params(cfg(), seed=5)
+    p = tmp_path / "w.ckpt"
+    save_checkpoint(Checkpoint(params, None, "1", 3), p)
+    _rewrite_header(p, lambda header: header.update({key: value}))
+    with pytest.raises(CheckpointError, match="wrong type"):
+        load_checkpoint(p)
+
+
+def test_record_larger_than_the_file_rejected(tmp_path):
+    """A corrupt dimension must not ask for a buffer of that size."""
+    params = init_params(cfg(), seed=5)
+    p = tmp_path / "d.ckpt"
+    save_checkpoint(Checkpoint(params, None, "1", 0), p)
+    header, records = _header(p)
+    (nlen,) = struct.unpack("<H", records[:2])
+    first_dim = len(p.read_bytes()) - len(records) + 2 + nlen + 1
+    raw = bytearray(p.read_bytes())
+    raw[first_dim:first_dim + 4] = struct.pack("<I", 0xFFFFFFFF)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(p)
 
 

@@ -51,7 +51,7 @@ def count_parses(mp):
     return parses
 
 
-def tree_bytes(root, skip=("run_meta.json", "resolved_config.json")):
+def tree_bytes(root, skip=("run_meta.json",)):
     """{relative path: bytes} of every file under root, minus `skip`."""
     found = {}
     for d, _, files in os.walk(root):
@@ -361,6 +361,7 @@ def test_pipeline_with_a_relative_out_matches_an_absolute_one(chain, tmp_path,
     rel = tree_bytes(tmp_path / "rel" / "run")
     whole = tree_bytes(tmp_path / "abs")
     assert "summary.json" in rel and "synthetic/r2.entries.json" in rel
+    assert "resolved_config.json" in rel
     assert sorted(rel) == sorted(whole)
     assert [fn for fn in rel if rel[fn] != whole[fn]] == []
 
@@ -388,6 +389,39 @@ def test_a_copied_run_directory_reads_its_own_files(chain, tmp_path):
     entries = json.loads((moved / "synthetic" / "r1.entries.json").read_text())
     assert [(e["src_path"], e["tgt_path"]) for e in entries] == [
         ("r1.en-xa.en.txt", "r1.en-xa.xa.txt")]
+
+
+def test_a_run_config_reads_back_from_another_directory(chain, tmp_path,
+                                                         monkeypatch):
+    root, cfg_path, out, _, _ = chain
+    (tmp_path / "d").mkdir()
+    monkeypatch.chdir(tmp_path / "d")
+    assert main(["train-vocab", "--config", str(cfg_path), "--out", "runA",
+                 "--quiet"]) == 0
+    run = tmp_path / "d" / "runA"
+    resolved = (run / "resolved_config.json").read_bytes()
+    doc = json.loads(resolved)
+    assert (doc["manifest"], doc["testsets"]) == (
+        os.path.join("benchmark", "manifest.json"),
+        os.path.join("benchmark", "testsets.json"))
+    # a config file's data paths are relative to the file, not to the
+    # working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["evaluate", "--config", str(run / "resolved_config.json"),
+                 "--out", str(run), "--from", str(out / "stage3.ckpt"),
+                 "--quiet"]) == 0
+    assert (run / "report.stage3.test.tsv").exists()
+    assert (run / "resolved_config.json").read_bytes() == resolved
+
+
+def test_stage3_without_round2_runs_as_the_no_synthetic_arm(chain, tmp_path):
+    root, cfg_path, out, _, _ = chain
+    run = tmp_path / "noround2"
+    assert main(["stage3", "--config", str(cfg_path), "--out", str(run),
+                 "--from", str(out / "stage2b.ckpt"), "--quiet"]) == 0
+    assert not (run / "synthetic").exists()
+    rows = (run / "audit.stage3.tsv").read_text().splitlines()
+    assert rows and {r.split("\t")[2] for r in rows} <= {"bt", "ct"}
 
 
 def test_dead_synthetic_round_exits_3(chain, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Config parsing, override grammar, digest stability."""
 
 import json
+import os
 from dataclasses import is_dataclass
 
 import pytest
@@ -12,6 +13,7 @@ from munmt.config import (
     from_dict,
     load_config,
     parse_override,
+    read_config_doc,
     to_dict,
 )
 from munmt.errors import ConfigError
@@ -169,6 +171,20 @@ def test_digest_stable_and_sensitive():
     assert a == b
     c = config_digest(from_dict({"seed": 1}))
     assert c != a
+
+
+def test_config_file_data_paths_are_relative_to_the_file(tmp_path):
+    d = tmp_path / "exp"
+    d.mkdir()
+    p = d / "exp.json"
+    p.write_text(json.dumps({"manifest": "data/manifest.json",
+                             "testsets": "/abs/testsets.json"}))
+    doc = read_config_doc(p)
+    assert doc["manifest"] == os.path.join(str(d), "data", "manifest.json")
+    assert doc["testsets"] == "/abs/testsets.json"  # absolute stays as it is
+    # an override is used as given
+    doc = apply_overrides(doc, ["manifest=rel/manifest.json"])
+    assert from_dict(doc).manifest == "rel/manifest.json"
 
 
 def test_load_config_file(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from munmt.corpus import (
-    Batch,
     Dataset,
     LanguageId,
     SamplingPolicy,
@@ -21,7 +20,7 @@ from munmt.corpus import (
 )
 from munmt.errors import ConfigError, DataError
 from munmt.rng import named_rng
-from munmt.tokenizer import PAD, train_bpe
+from munmt.tokenizer import train_bpe
 
 
 def mono(id_, n, lang="en", length=5):
@@ -103,17 +102,20 @@ def test_choose_dataset_frequencies():
     assert counts["m1"] / mono_total == pytest.approx(0.5, abs=0.015)
 
 
-def test_draw_batch_with_replacement_and_padding():
+def test_draw_batch_with_replacement_returns_the_dataset_items():
     ds = Dataset("m", "mono", lang="en",
                  items=[np.asarray([5, 6], dtype=np.int32),
                         np.asarray([7, 8, 9, 10], dtype=np.int32)])
     rng = named_rng(3, "draw")
     b = draw_batch(ds, 16, rng)  # more draws than items: must not exhaust
-    assert b.src_ids.shape == (16, 4) or b.src_ids.shape == (16, 2)
-    assert b.lang == "en"
-    # padded tail is PAD
-    row_lens = (b.src_ids != PAD).sum(axis=1)
-    assert set(row_lens.tolist()) <= {2, 4}
+    assert len(b) == 16
+    # the rows are the dataset's own id arrays, unpadded, at the indices the
+    # stream draws
+    want = named_rng(3, "draw").integers(0, ds.size, size=16)
+    assert all(row is ds.items[i] for row, i in zip(b, want))
+    pairs = para("p", 3)
+    assert all(any(row is item for item in pairs.items)
+               for row in draw_batch(pairs, 5, rng))
 
 
 def test_draw_batch_uniform_over_items():
@@ -122,9 +124,8 @@ def test_draw_batch_uniform_over_items():
     rng = named_rng(9, "uniform")
     counts = np.zeros(4)
     for _ in range(200):
-        b = draw_batch(ds, 50, rng)
-        for v in b.src_ids[:, 0]:
-            counts[int(v) - 5] += 1
+        for row in draw_batch(ds, 50, rng):
+            counts[int(row[0]) - 5] += 1
     freqs = counts / counts.sum()
     np.testing.assert_allclose(freqs, 0.25, atol=0.02)
 
@@ -142,24 +143,17 @@ def test_bucket_batches_partition_and_budget():
     items = [np.arange(5, 5 + rng.integers(1, 40), dtype=np.int32) for _ in range(300)]
     ds = Dataset("m", "mono", lang="en", items=items)
     batches = bucket_batches(ds, max_tokens=100, bucket_width=8)
-    seen = []
     for b in batches:
-        n, width = b.src_ids.shape
-        assert n * width <= 100
-        for row in b.src_ids:
-            seen.append(row[row != PAD].tolist() if PAD in row else row.tolist())
-    # exact partition: multiset of items equals the dataset
-    original = sorted(tuple(x.tolist()) for x in items)
-    got = sorted(tuple(s) for s in seen)
-    assert got == original
+        assert len(b) * max(len(item) for item in b) <= 100
+    # exact partition: every item object lands in exactly one batch
+    assert sorted(id(item) for b in batches for item in b) == sorted(map(id, items))
 
 
 def test_bucket_batches_similar_lengths():
     items = [np.arange(5, 6, dtype=np.int32)] * 10 + [np.arange(5, 35, dtype=np.int32)] * 10
     ds = Dataset("m", "mono", lang="en", items=items)
     for b in bucket_batches(ds, max_tokens=64, bucket_width=8):
-        lens = (b.src_ids != PAD).sum(axis=1) if b.src_ids.size else []
-        lens = set(int(x) for x in lens)
+        lens = {len(item) for item in b}
         # one bucket only: width-8 groups keep 1 and 30 apart
         assert lens <= {1} or lens <= {30}
 
@@ -173,9 +167,11 @@ def test_bucket_batches_oversized_item_rejected():
 def test_bucket_batches_pairs_use_longest_side():
     items = [(np.arange(2, dtype=np.int32), np.arange(20, dtype=np.int32))] * 6
     ds = Dataset("p", "parallel", src="aa", tgt="en", items=items)
-    for b in bucket_batches(ds, max_tokens=60, bucket_width=8):
-        n = b.src_ids.shape[0]
-        assert n * 20 <= 60
+    batches = bucket_batches(ds, max_tokens=60, bucket_width=8)
+    assert sum(len(b) for b in batches) == 6
+    for b in batches:
+        assert all(isinstance(item, tuple) for item in b)
+        assert len(b) * 20 <= 60
 
 
 def test_pad_block_empty_rejected():

@@ -53,12 +53,16 @@ def env(tmp_path_factory):
     return root, cfg, ctx
 
 
-def ctx_at(env, name, cfg=None):
+def ctx_at(env, name, cfg=None, arm=None):
     root, base_cfg, ctx = env
     out = root / name
     out.mkdir(exist_ok=True)
     return dataclasses.replace(ctx, out_dir=str(out),
-                               cfg=cfg if cfg is not None else base_cfg)
+                               cfg=cfg if cfg is not None else base_cfg,
+                               arm=arm or ctx.arm)
+
+
+REAL_ONLY = ArmOptions(use_synthetic=False)
 
 
 def read_audit(path):
@@ -168,7 +172,20 @@ def test_stage2_requires_synthetic_data(env):
     ctx = ctx_at(env, "s2bare")
     params = init_params(ctx.model_cfg, 7)
     with pytest.raises(DataError, match="synthetic"):
-        run_stage2(ctx, params, "stage2a", [])
+        run_stage2(ctx, params, "stage2a")
+
+
+def test_stage2_of_a_no_synthetic_context_trains_real_data_only(env, tmp_path):
+    cfg = env[1]
+    out = tmp_path / "realonly"
+    ctx = build_context(cfg, str(out), quiet=True, arm=REAL_ONLY)
+    assert ctx.arm == REAL_ONLY
+    run_stage2(ctx, init_params(ctx.model_cfg, 7), "stage2a")
+    rows = read_audit(out / "audit.stage2a.tsv")
+    assert len(rows) == cfg.stage2a.steps
+    assert {r[2] for r in rows} <= {"mass", "ce2"}
+    assert {r[1] for r in rows} <= {e["id"] for e in ctx.entries}
+    assert not (out / "synthetic").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +368,12 @@ def test_predict_sweep_objective_filter():
 
 
 def test_stage3_audit_matches_the_plan_exactly(env):
-    ctx = ctx_at(env, "s3")
+    ctx = ctx_at(env, "s3", arm=REAL_ONLY)
     languages, _ = load_manifest(ctx.cfg.manifest)
     _, datasets = ctx.registry()
     plan = predict_sweep(languages, datasets, ctx.cfg.pivots)
     params = init_params(ctx.model_cfg, 5)
-    ck = run_stage3(ctx, params, [])
+    ck = run_stage3(ctx, params)
     rows = read_audit(os.path.join(ctx.out_dir, "audit.stage3.tsv"))
     sweeps = ctx.cfg.stage3.sweeps
     assert len(rows) == sweeps * len(plan)
@@ -372,21 +389,22 @@ def test_stage3_audit_matches_the_plan_exactly(env):
 def test_stage3_zero_sweeps_passes_params_through(env):
     cfg = copy.deepcopy(env[1])
     cfg.stage3 = Stage3Spec(sweeps=0, eval_every=0, max_tokens=256, max_len=16)
-    ctx = ctx_at(env, "s3zero", cfg=cfg)
+    ctx = ctx_at(env, "s3zero", cfg=cfg, arm=REAL_ONLY)
     params = init_params(ctx.model_cfg, 5)
     before = params.copy()
-    ck = run_stage3(ctx, params, [])
+    ck = run_stage3(ctx, params)
     assert ck.step == 0
     assert params_equal(params, before)
 
 
 def test_stage3_logs_skips_and_leaves_params_alone(env, monkeypatch):
-    ctx = ctx_at(env, "s3skip")
+    ctx = ctx_at(env, "s3skip", arm=ArmOptions(use_synthetic=False,
+                                               stage3_objectives=("bt", "ct")))
     params = init_params(ctx.model_cfg, 5)
     before = params.copy()
     monkeypatch.setattr(objectives, "greedy_decode_batch",
                         lambda p, c, ids, lang, max_len=32: [[] for _ in ids])
-    run_stage3(ctx, params, [], objectives=("bt", "ct"))
+    run_stage3(ctx, params)
     rows = read_audit(os.path.join(ctx.out_dir, "audit.stage3.tsv"))
     assert rows and all(r[5] == "skip" for r in rows)
     assert params_equal(params, before)
@@ -397,7 +415,7 @@ def test_stage3_early_stop_restores_the_best_params(env, monkeypatch):
     cfg = copy.deepcopy(env[1])
     cfg.stage3 = Stage3Spec(sweeps=6, eval_every=1, patience=2,
                             max_tokens=256, max_len=16)
-    ctx = ctx_at(env, "s3stop", cfg=cfg)
+    ctx = ctx_at(env, "s3stop", cfg=cfg, arm=REAL_ONLY)
     seen = []
     scores = iter([10.0, 5.0, 4.0])
 
@@ -407,7 +425,7 @@ def test_stage3_early_stop_restores_the_best_params(env, monkeypatch):
 
     monkeypatch.setattr(pipe, "_mean_bleu", fake_eval)
     params = init_params(ctx.model_cfg, 5)
-    ck = run_stage3(ctx, params, [])
+    ck = run_stage3(ctx, params)
     assert ck.meta["sweeps_run"] == 3  # stopped after the third dev check
     assert ck.meta["best_dev"] == 10.0
     assert params_equal(params, seen[0])  # best snapshot restored
@@ -517,8 +535,7 @@ def test_no_synthetic_arm_skips_generation(env, tmp_path, monkeypatch):
     small.stage3 = Stage3Spec(sweeps=1, eval_every=0, max_tokens=256, max_len=16)
     out = tmp_path / "nosynth"
     builds = count_calls(monkeypatch, "build_registry", pipeline)
-    summary = run_pipeline(small, str(out), quiet=True,
-                           arm=ArmOptions(use_synthetic=False))
+    summary = run_pipeline(small, str(out), quiet=True, arm=REAL_ONLY)
     assert len(builds) == 1
     assert not (out / "synthetic").exists()
     assert set(summary["stages"]) == {"stage1", "stage2a", "stage2b", "stage3"}

@@ -269,6 +269,22 @@ def test_testsets_file(bench):
         assert json.load(fh)["test"]["en"] == "test.en.txt"
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(eval_directions=["en-xa-zz"]),  # three languages
+    lambda doc: doc.update(eval_directions=["en-qq"]),  # a language no split maps
+    lambda doc: doc.pop("eval_directions"),
+], ids=["three-languages", "unmapped-language", "no-directions"])
+def test_malformed_testsets_file_is_a_data_error(bench, tmp_path, edit):
+    _, paths = bench
+    with open(paths["testsets"]) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    bad = tmp_path / "testsets.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="eval"):
+        load_testsets(bad)
+
+
 def test_benchmark_deterministic(tmp_path):
     p1 = build_benchmark(small_cfg(tmp_path / "one"))
     p2 = build_benchmark(small_cfg(tmp_path / "two"))
