@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import OPTIMIZERS
 from .errors import CheckpointError
-from .model import ModelParams
+from .model import ModelConfig, ModelParams, param_shapes
 from .optim import BETA1, BETA2, EPS, OptimState
 
 MAGIC = b"MUNM"
@@ -90,11 +90,28 @@ def _wrong_types(doc: dict, types: dict) -> list:
 
 def _read_tensor(fh):
     (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, nlen).decode("utf-8")
+    try:
+        name = _read_exact(fh, nlen).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"tensor name is not UTF-8 ({e})") from None
     (rank,) = struct.unpack("<B", _read_exact(fh, 1))
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     data = np.frombuffer(_read_exact(fh, 4 * math.prod(dims)), dtype="<f4").reshape(dims)
     return name, data.astype(np.float32, copy=True)
+
+
+def _check_geometry(path, tensors: dict, geom) -> None:
+    """The parameter tensors must be exactly those of the model geometry
+    `geom` (a ModelConfig as a dict), in order and in shape."""
+    try:
+        want = param_shapes(ModelConfig(**geom))
+    except TypeError as e:
+        raise CheckpointError(f"{path}: bad model geometry in meta ({e})") from None
+    got = {name: arr.shape for name, arr in tensors.items()}
+    if list(got.items()) != list(want.items()):
+        wrong = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
+        raise CheckpointError(f"{path}: tensors do not match the model geometry in meta: "
+                              + (", ".join(wrong[:5]) or "out of order"))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -199,6 +216,8 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
         v = tensors.pop("optim/v")
         if oh["names"] != list(tensors):
             raise CheckpointError(f"{path}: optimizer names do not match the saved tensors")
+    if "model" in header.get("meta", {}):
+        _check_geometry(path, tensors, header["meta"]["model"])
     params = ModelParams(tensors)
     opt = None
     if oh is not None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tokenizer as tok
 from .errors import ConfigError, DataError
+from .tokenizer import read_lines
 
 MANIFEST_FORMAT = "munmt-manifest"
 
@@ -154,19 +155,6 @@ def bucket_batches(ds: Dataset, max_tokens: int = 2000, bucket_width: int = 8):
 
 # ---------------------------------------------------------------------------
 # manifest
-
-
-def read_lines(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read corpus file {path}: {e}") from None
-
-
-def write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path, doc) -> None:

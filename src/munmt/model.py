@@ -176,14 +176,19 @@ def _merge_heads(x: T.Tensor) -> T.Tensor:
     return T.reshape(x, (B, L, h * dh))
 
 
-def _attention(q_in, kv_in, wq, wk, wv, heads: int, mask) -> T.Tensor:
-    q = _split_heads(T.matmul(q_in, wq), heads)
-    k = _split_heads(T.matmul(kv_in, wk), heads)
-    v = _split_heads(T.matmul(kv_in, wv), heads)
+def _attention(q, k, v, heads: int, mask) -> T.Tensor:
+    """Scaled dot-product attention over projected (B, L, H) queries, keys
+    and values."""
+    q, k, v = (_split_heads(t, heads) for t in (q, k, v))
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = T.add(scores, T.constant(mask))
     return _merge_heads(T.matmul(T.softmax(scores), v))
+
+
+def _kv(params, prefix: str, x: T.Tensor):
+    """The keys and values that attention block `prefix` reads from x."""
+    return T.matmul(x, params[f"{prefix}.wk"]), T.matmul(x, params[f"{prefix}.wv"])
 
 
 def _ffn(params, prefix: str, x: T.Tensor) -> T.Tensor:
@@ -195,14 +200,15 @@ def _ln(params, prefix: str, x: T.Tensor) -> T.Tensor:
     return T.layernorm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _embed(params, cfg: ModelConfig, ids: np.ndarray, lang: str | None):
+def _embed(params, cfg: ModelConfig, ids: np.ndarray, lang: str | None, offset: int = 0):
+    """Embeds ids as positions offset .. offset+L-1."""
     B, L = ids.shape
-    if L > cfg.max_positions:
-        raise DataError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
+    if offset + L > cfg.max_positions:
+        raise DataError(f"sequence length {offset + L} exceeds max_positions {cfg.max_positions}")
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
         raise DataError("token id out of range for the model vocabulary")
     x = T.scale(T.embedding(params["tok_emb"], ids), math.sqrt(cfg.hidden))
-    x = T.add(x, T.embedding(params["pos_emb"], np.arange(L)))
+    x = T.add(x, T.embedding(params["pos_emb"], np.arange(offset, offset + L)))
     if lang is not None:
         x = T.add(x, T.embedding(params["lang_emb"], cfg.lang_index(lang)))
     return x
@@ -231,42 +237,91 @@ def encode(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarray):
     for i in range(cfg.layers):
         p = f"enc.{i}"
         h = _ln(params, f"{p}.ln1", x)
-        a = _attention(h, h, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],
-                       params[f"{p}.attn.wv"], cfg.heads, mask)
+        a = _attention(T.matmul(h, params[f"{p}.attn.wq"]), *_kv(params, f"{p}.attn", h),
+                       cfg.heads, mask)
         x = T.add(x, T.matmul(a, params[f"{p}.attn.wo"]))
         x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x)))
     return _ln(params, "enc.final_ln", x), mask
 
 
-def _decoder_stack(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor,
-                   src_mask: np.ndarray, dec_x: T.Tensor, lang_idx: int) -> T.Tensor:
-    """Decoder body from embedded inputs to final hidden states."""
-    Lq = dec_x.shape[1]
-    cmask = causal_mask(Lq, dec_x.dtype)
+class DecoderCache:
+    """What step decoding keeps between steps, per decoder layer: the
+    cross-attention keys and values, projected once from the encoder output,
+    and the self-attention keys and values of every position fed so far
+    (fairseq's incremental state, Ott et al., 2019). Both are (layers, 2,
+    B, positions, H) constant arrays, so it serves `T.no_grad` decoding only;
+    the self-attention one holds `max_len` positions, filled step by step.
+    """
+
+    def __init__(self, params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor,
+                 max_len: int):
+        self.cross_kv = np.stack([[t.data for t in _kv(params, f"dec.{i}.cross", enc_out)]
+                                  for i in range(cfg.layers)])
+        self.self_kv = np.empty((cfg.layers, 2, enc_out.shape[0], max_len, cfg.hidden),
+                                dtype=enc_out.dtype)
+        self.length = 0  # positions fed so far
+
+    def extend(self, layer: int, k: T.Tensor, v: T.Tensor):
+        """Writes the newest positions' self-attention keys and values after
+        layer `layer`'s cached ones and returns all of them. The last
+        layer's call completes the step."""
+        t, n = self.length, k.shape[1]
+        kv = self.self_kv[layer]
+        kv[0, :, t:t + n] = k.data
+        kv[1, :, t:t + n] = v.data
+        if layer == len(self.self_kv) - 1:
+            self.length += n
+        return T.constant(kv[0, :, :t + n]), T.constant(kv[1, :, :t + n])
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drops every batch row that the index or mask `rows` leaves out."""
+        self.cross_kv = self.cross_kv[:, :, rows]
+        self.self_kv = self.self_kv[:, :, rows]
+
+
+def _decoder_stack(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor | None,
+                   src_mask: np.ndarray, dec_x: T.Tensor, lang_idx: int,
+                   cache: DecoderCache | None = None) -> T.Tensor:
+    """Decoder body from embedded inputs to final hidden states.
+
+    Without a cache `dec_x` holds whole prefixes, which attend causally.
+    With one it holds the next positions: their self-attention keys and
+    values join the cache's, which they attend to in full, and the
+    cross-attention keys and values come from the cache, so `enc_out` is
+    not read.
+    """
+    cmask = None if cache else causal_mask(dec_x.shape[1], dec_x.dtype)
     x = dec_x
     for i in range(cfg.layers):
         p = f"dec.{i}"
         h = _ln(params, f"{p}.ln1", x)
-        a = _attention(h, h, params[f"{p}.self.wq"], params[f"{p}.self.wk"],
-                       params[f"{p}.self.wv"], cfg.heads, cmask)
+        k, v = _kv(params, f"{p}.self", h)
+        if cache:
+            k, v = cache.extend(i, k, v)
+        a = _attention(T.matmul(h, params[f"{p}.self.wq"]), k, v, cfg.heads, cmask)
         wo = T.embedding(params[f"{p}.self.wo_bank"], lang_idx)
         x = T.add(x, T.matmul(a, wo))
         h = _ln(params, f"{p}.ln2", x)
-        a = _attention(h, enc_out, params[f"{p}.cross.wq"], params[f"{p}.cross.wk"],
-                       params[f"{p}.cross.wv"], cfg.heads, src_mask)
+        k, v = map(T.constant, cache.cross_kv[i]) if cache else _kv(params, f"{p}.cross", enc_out)
+        a = _attention(T.matmul(h, params[f"{p}.cross.wq"]), k, v, cfg.heads, src_mask)
         wo = T.embedding(params[f"{p}.cross.wo_bank"], lang_idx)
         x = T.add(x, T.matmul(a, wo))
         x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", x)))
     return _ln(params, "dec.final_ln", x)
 
 
-def decode_logits(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor,
-                  src_mask: np.ndarray, dec_ids: np.ndarray, tgt_lang: str) -> T.Tensor:
-    """Teacher-forced decoder logits (B, Lt, V); output projection tied to tok_emb."""
+def decode_logits(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor | None,
+                  src_mask: np.ndarray, dec_ids: np.ndarray, tgt_lang: str,
+                  cache: DecoderCache | None = None) -> T.Tensor:
+    """Decoder logits (B, Lt, V); output projection tied to tok_emb.
+
+    Teacher-forced without a cache. With one, `dec_ids` are the positions
+    that follow the cached ones; see `_decoder_stack`.
+    """
     dec_ids = np.asarray(dec_ids)
     lang_idx = cfg.lang_index(tgt_lang)
-    x = _embed(params, cfg, dec_ids, lang=tgt_lang)
-    h = _decoder_stack(params, cfg, enc_out, src_mask, x, lang_idx)
+    x = _embed(params, cfg, dec_ids, lang=tgt_lang, offset=cache.length if cache else 0)
+    h = _decoder_stack(params, cfg, enc_out, src_mask, x, lang_idx, cache)
     return T.matmul(h, T.transpose(params["tok_emb"], (1, 0)))
 
 
@@ -286,28 +341,32 @@ def greedy_decode_batch(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarr
     Returns a list of int lists: generated ids up to and including EOS when
     EOS is produced within max_len steps, else max_len ids with no EOS.
     Ties at the argmax go to the lowest token id. Pure function of inputs.
+
+    The source is encoded once; each step feeds only the newest token of
+    each unfinished row, against a DecoderCache, and a row leaves the
+    working batch when it emits EOS.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     max_len = min(max_len, cfg.max_positions - 1)
     src_ids = np.asarray(src_ids)
-    B = src_ids.shape[0]
+    outs = [[] for _ in range(src_ids.shape[0])]
     with T.no_grad():
         enc_out, mask = encode(params, cfg, src_ids)
-        rows = np.full((B, 1), BOS, dtype=np.int32)
-        finished = np.zeros(B, dtype=bool)
-        outs = [[] for _ in range(B)]
+        cache = DecoderCache(params, cfg, enc_out, max_len)
+        live = np.arange(len(outs))  # the batch row of each working row
+        step = np.full(len(outs), BOS, dtype=np.int32)
         for _ in range(max_len):
-            logits = decode_logits(params, cfg, enc_out, mask, rows, tgt_lang)
-            step = np.argmax(logits.data[:, -1, :], axis=-1)
-            for b in range(B):
-                if not finished[b]:
-                    outs[b].append(int(step[b]))
-                    if step[b] == EOS:
-                        finished[b] = True
-            if finished.all():
+            logits = decode_logits(params, cfg, None, mask, step[:, None], tgt_lang, cache)
+            step = np.argmax(logits.data[:, -1, :], axis=-1).astype(np.int32)
+            for b, tok in zip(live, step):
+                outs[b].append(int(tok))
+            going = step != EOS
+            if not going.any():
                 break
-            rows = np.concatenate([rows, step.reshape(B, 1).astype(np.int32)], axis=1)
+            if not going.all():
+                live, step, mask = live[going], step[going], mask[going]
+                cache.keep(going)
     return outs
 
 

@@ -22,8 +22,7 @@ from .config import (DATA_PATH_KEYS, ExperimentConfig, config_digest,
                      file_digest, to_dict)
 from .corpus import (SamplingPolicy, bucket_batches, build_registry,
                      choose_dataset, draw_batch, entry_problems, load_dataset,
-                     load_manifest, read_lines, resolve_paths, write_json,
-                     write_lines)
+                     load_manifest, resolve_paths, write_json)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, translate_corpus, write_report
 from .model import ModelConfig, ModelParams, init_params
@@ -32,7 +31,7 @@ from .objectives import (back_translation_loss, cross_entropy_loss,
 from .optim import OptimState, lr_at, optimizer_step
 from .rng import named_rng
 from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
-from .tokenizer import save_vocab, train_bpe, vocab_digest
+from .tokenizer import read_lines, save_vocab, train_bpe, vocab_digest, write_lines
 
 STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 

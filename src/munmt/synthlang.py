@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import LanguageId, save_manifest, write_json, write_lines
+from .corpus import LanguageId, save_manifest, write_json
 from .errors import ConfigError, DataError
 from .rng import named_rng
+from .tokenizer import write_lines
 
 ZIPF_EXPONENT = 1.1
 TAIL_START = 10  # ranks below this never swap; head mass stays exact
@@ -94,15 +96,16 @@ def gen_rank_lines(spec: CorpusSpec) -> list:
     spec.validate()
     rng = named_rng(spec.seed, f"synthlang:{spec.label}")
     cdf = np.cumsum(zipf_probs(spec.vocab_types))
+    partners = [_swap_partner(r, spec.vocab_types) for r in range(spec.vocab_types)]
     out = []
     for _ in range(spec.lines):
         n = int(rng.integers(spec.len_min, spec.len_max + 1))
-        draws = np.searchsorted(cdf, rng.random(n), side="right")
+        draws = np.searchsorted(cdf, rng.random(n), side="right").tolist()
         prev2, prev1 = spec.vocab_types + 1, spec.vocab_types + 2
         sent = []
         for r in draws:
-            r = int(min(r, spec.vocab_types - 1))
-            partner = _swap_partner(r, spec.vocab_types)
+            r = min(r, spec.vocab_types - 1)
+            partner = partners[r]
             if partner != r and _context_swaps(prev2, prev1, min(r, partner)):
                 r = partner
             sent.append(r)
@@ -341,7 +344,7 @@ class _BaseStream:
     def __init__(self, cfg: BenchmarkConfig):
         self.cfg = cfg
         self.seen = set()
-        self.buf = []
+        self.buf = deque()
         self.chunk = 0
 
     def take(self, n: int, reject=None) -> list:
@@ -352,15 +355,14 @@ class _BaseStream:
                 spec = CorpusSpec(self.cfg.vocab_types, self.cfg.len_min,
                                   self.cfg.len_max, 4096, self.cfg.seed,
                                   label=f"bench:{self.chunk}")
-                self.buf = gen_base_corpus(spec,
-                                           base_surfaces(self.cfg.base_name,
-                                                         self.cfg.vocab_types))
+                self.buf = deque(gen_base_corpus(
+                    spec, base_surfaces(self.cfg.base_name, self.cfg.vocab_types)))
                 self.chunk += 1
                 stall += 1
                 if stall > 200:
                     raise DataError("base sentence space too small for the "
                                     "requested corpus sizes")
-            line = self.buf.pop(0)
+            line = self.buf.popleft()
             if line in self.seen:
                 continue
             self.seen.add(line)

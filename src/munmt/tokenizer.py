@@ -23,11 +23,17 @@ PAD, BOS, EOS, UNK, MASK = 0, 1, 2, 3, 4
 SPECIAL_PIECES = ("<pad>", "<s>", "</s>", "<unk>", "<mask>")
 
 _WS_RUN = re.compile(r"\s+")
+_ASCII_CONTROLS = dict.fromkeys((*range(32), 127))
 VOCAB_HEADER = re.compile(r"^#munmt-vocab v1 size=(\d+)$")
 
 
 def normalize(text: str) -> str:
     """NFC, drop control characters, collapse whitespace runs, strip ends."""
+    if text.isascii():
+        # NFC leaves ASCII as it is, and its category-C characters are
+        # exactly code points 0-31 and 127: the same result without a
+        # per-character category lookup, for the all-ASCII toy corpora.
+        return " ".join(text.translate(_ASCII_CONTROLS).split())
     text = unicodedata.normalize("NFC", text)
     text = "".join(ch for ch in text if not unicodedata.category(ch).startswith("C"))
     return _WS_RUN.sub(" ", text).strip()
@@ -183,7 +189,20 @@ def decode(vocab: Vocab, ids) -> str:
 
 
 # ---------------------------------------------------------------------------
-# vocab file format
+# line files and the vocab file format
+
+
+def read_lines(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as e:
+        raise DataError(f"cannot read corpus file {path}: {e}") from None
+
+
+def write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_vocab(vocab: Vocab, path) -> None:
@@ -191,8 +210,7 @@ def save_vocab(vocab: Vocab, path) -> None:
     lines.extend(f"{p}\t{i}" for i, p in enumerate(vocab.pieces))
     lines.append("#merges")
     lines.extend(f"{l} {r}" for l, r in vocab.merges)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_vocab(path) -> Vocab:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -174,6 +175,42 @@ def test_record_larger_than_the_file_rejected(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(p)
+
+
+def _first_name_byte(path):
+    """The offset of the first byte of the first tensor's name."""
+    _, records = _header(path)
+    return len(path.read_bytes()) - len(records) + 2
+
+
+@pytest.mark.parametrize("name_byte, meta, match", [
+    (b"\xff", {}, "not UTF-8"),
+    (b"z", {"model": asdict(cfg())}, "tensors do not match the model geometry"),
+    (b"t", {"model": {**asdict(cfg()), "hidden": 16}},
+     "tensors do not match the model geometry"),
+], ids=["not-utf8", "renamed", "reshaped"])
+def test_tensor_names_and_shapes_checked(tmp_path, name_byte, meta, match):
+    """A name that is not UTF-8, or names and shapes other than the model
+    geometry in meta would give (here "tok_emb" becomes "zok_emb", or the
+    hidden size no longer fits), must be refused when read, not at the
+    first forward."""
+    params = init_params(cfg(), seed=5)
+    p = tmp_path / "n.ckpt"
+    save_checkpoint(Checkpoint(params, None, "1", 0, meta=meta), p)
+    raw = bytearray(p.read_bytes())
+    at = _first_name_byte(p)
+    assert raw[at:at + 7] == b"tok_emb"
+    raw[at:at + 1] = name_byte
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(p)
+
+
+def test_checkpoint_matching_its_model_geometry_loads(tmp_path):
+    params = init_params(cfg(), seed=5)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(Checkpoint(params, None, "1", 0, meta={"model": asdict(cfg())}), p)
+    assert list(load_checkpoint(p).params.arrays) == list(params.arrays)
 
 
 def test_corrupt_header_rejected(tmp_path):

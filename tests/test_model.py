@@ -8,6 +8,7 @@ import pytest
 from munmt import tensor as T
 from munmt.errors import ConfigError, DataError
 from munmt.model import (
+    DecoderCache,
     ModelConfig,
     _decoder_stack,
     count_params,
@@ -281,6 +282,49 @@ def test_batch_decode_matches_single_decode():
     for i, r in enumerate(rows):
         single = decode_one(params, cfg, r, "xa", max_len=8)
         assert batched[i] == single
+
+
+def test_cached_step_logits_equal_teacher_forced_last_rows():
+    # feeding one position at a time against the cache gives, at every step,
+    # the last row of the teacher-forced logits of the whole prefix; in float64
+    # up to a few ulps, because a one-row product may sum in another order
+    cfg = small_cfg()
+    params = init_params(cfg, seed=17, dtype=np.float64)
+    src = np.asarray([[5, 6, 7, PAD], [8, 9, 10, 11], [12, PAD, PAD, PAD]], dtype=np.int32)
+    prefix = np.asarray([[BOS, 13, 14, 15, 16, 17, 18],
+                         [BOS, 19, 20, 21, 22, 5, 6],
+                         [BOS, 7, 8, 9, 10, 11, 12]], dtype=np.int32)
+    with T.no_grad():
+        enc_out, mask = encode(params, cfg, src)
+        cache = DecoderCache(params, cfg, enc_out, prefix.shape[1])
+        for t in range(prefix.shape[1]):
+            step = decode_logits(params, cfg, None, mask, prefix[:, t:t + 1], "xa", cache)
+            full = decode_logits(params, cfg, enc_out, mask, prefix[:, :t + 1], "xa")
+            assert cache.length == t + 1
+            np.testing.assert_allclose(step.data[:, 0], full.data[:, -1], rtol=0, atol=1e-12)
+
+
+def test_rows_finishing_at_different_steps_decode_as_alone():
+    # rows leave the working batch as they emit EOS; the rest must not notice
+    cfg = small_cfg()
+    params = init_params(cfg, seed=27)
+    params.arrays["tok_emb"][EOS] *= 2.0  # makes EOS likely, at varied steps
+    rows = [[5, 6, 7, 8, 9], [10, 11, 12], [13, 14, 15, 16], [17, 18],
+            [19, 20, 21, 22, 5], [6]]
+    block = np.full((len(rows), 5), PAD, dtype=np.int32)
+    for i, r in enumerate(rows):
+        block[i, : len(r)] = r
+    batched = greedy_decode_batch(params, cfg, block, "xa", max_len=12)
+    eos_steps = {len(out) for out in batched if out[-1] == EOS}
+    assert len(eos_steps) >= 3 and any(out[-1] != EOS for out in batched)
+    for out, r in zip(batched, rows):
+        assert out == decode_one(params, cfg, r, "xa", max_len=12)
+
+
+def test_greedy_decode_caps_max_len_at_the_position_table():
+    cfg = small_cfg(max_positions=6)
+    params = _rigged(cfg, 7)
+    assert decode_one(params, cfg, [5, 6], "xa", max_len=50) == [7] * 5
 
 
 def test_too_long_sequence_rejected():

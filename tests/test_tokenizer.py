@@ -1,5 +1,8 @@
 """Tokenizer: hand-counted merges, roundtrips, file format."""
 
+import re
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,29 @@ def test_normalize_rules():
     assert normalize("  x   y ") == "x y"
     # NFC: e + combining acute composes
     assert normalize("é") == "é"
+
+
+def _normalize_reference(text):
+    """The general rule normalize applies to every line: NFC, drop category
+    C, collapse whitespace runs, strip."""
+    text = unicodedata.normalize("NFC", text)
+    text = "".join(ch for ch in text if not unicodedata.category(ch).startswith("C"))
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def test_normalize_ascii_fast_path_matches_the_general_rule():
+    ascii_chars = [chr(c) for c in range(128)]
+    others = ["é", "e\u0301", "\u200b", "\u00a0", "\u3000", "\u0085", "\ufeff"]
+    for ch in ascii_chars + others:
+        for s in (ch, f"a{ch}b", f" {ch} x{ch}{ch}y {ch}"):
+            assert normalize(s) == _normalize_reference(s), repr(s)
+    rng = np.random.default_rng(0)
+    alphabet = ascii_chars + others
+    for ascii_only in (True, False):
+        pool = ascii_chars if ascii_only else alphabet
+        for _ in range(2000):
+            s = "".join(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 12)))
+            assert normalize(s) == _normalize_reference(s), repr(s)
 
 
 def test_first_merge_hand_counted():
