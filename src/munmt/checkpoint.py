@@ -3,27 +3,28 @@
 File layout, all integers little-endian:
 
     magic  b"MUNM"
-    u16    format version (currently 1)
+    u16    format version (currently 2)
     u32    header length in bytes
     bytes  header, UTF-8 JSON
-    N records, one per tensor:
-        u16   name length, then that many UTF-8 bytes
-        u8    rank
-        u32   one per dimension
-        f32   payload, C order
+    f32    the parameters, laid out like `ModelParams.flat`
+    f32    with an optimizer: its first, then its second moment, each laid
+           out like the parameters
+    32     sha256 of every byte before it
 
-The header carries stage tag, step, vocab/config digests, optimizer
-scalars, and the tensor count. Optimizer moment buffers are stored as
-tensors under the reserved "optim/" prefix, which never collides with
-parameter names (those use dots). Writes go to a temp file in the same
-directory and are renamed into place, so a crash never leaves a partial
-checkpoint at the target path.
+The header carries stage tag, step, vocab/config digests, the optimizer's
+kind and step, and `meta`, whose "model" entry (a ModelConfig as a dict) is
+the model geometry. The geometry fixes the payload: `param_shapes` gives
+every parameter's name, shape and place in the flat buffer, so no name or
+shape is stored. A load checks the digest before it trusts any header field,
+and sizes the payload from the geometry before it lays out any parameter.
+Writes go to a temp file in the same directory and are renamed into place,
+so a crash never leaves a partial checkpoint at the target path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 import os
 import struct
 import tempfile
@@ -31,17 +32,21 @@ import tempfile
 import numpy as np
 
 from .config import OPTIMIZERS
-from .errors import CheckpointError
-from .model import ModelConfig, ModelParams, param_shapes
-from .optim import BETA1, BETA2, EPS, OptimState
+from .errors import CheckpointError, ConfigError
+from .model import ModelConfig, ModelParams, count_params, param_shapes
+from .optim import OptimState
 
 MAGIC = b"MUNM"
-VERSION = 1
+VERSION = 2
+PREAMBLE = struct.Struct("<4sHI")  # magic, version, header length
+DIGEST_SIZE = 32
 
 STAGES = ("1", "2a", "2b", "3")
-HEADER_TYPES = {"stage": str, "step": int, "tensor_count": int, "vocab_digest": str,
+HEADER_TYPES = {"stage": str, "step": int, "vocab_digest": str,
                 "config_digest": str, "meta": dict, "optimizer": (dict, type(None))}
-OPTIMIZER_TYPES = {"kind": str, "step": int, "names": list}
+OPTIMIZER_TYPES = {"kind": str, "step": int}
+GEOMETRY_TYPES = {"languages": list, "vocab_size": int, "layers": int, "hidden": int,
+                  "ffn": int, "heads": int, "max_positions": int}
 
 
 class Checkpoint:
@@ -61,71 +66,44 @@ class Checkpoint:
         self.meta = dict(meta or {})
 
 
-def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CheckpointError(f"tensor name too long: {name[:40]}...")
-    a = np.ascontiguousarray(arr, dtype="<f4")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<B", a.ndim))
-    for d in a.shape:
-        fh.write(struct.pack("<I", d))
-    fh.write(a.tobytes())
-
-
-def _read_exact(fh, n: int) -> bytes:
-    """The next n bytes, refused before reading when fewer are left."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise CheckpointError(f"truncated checkpoint file: {n} bytes wanted, {left} left")
-    return fh.read(n)
-
-
 def _wrong_types(doc: dict, types: dict) -> list:
     """The keys of `doc` whose value is not of the type `types` gives it."""
     return [k for k, kind in types.items() if k in doc and (
         not isinstance(doc[k], kind) or (kind is int and isinstance(doc[k], bool)))]
 
 
-def _read_tensor(fh):
-    (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
+def _geometry(path, meta: dict) -> ModelConfig:
+    """The model geometry in `meta`, checked field by field; nothing is
+    built per layer here."""
+    geom = meta.get("model")
+    if not isinstance(geom, dict):
+        raise CheckpointError(f"{path}: meta names no model geometry")
+    if geom.keys() != GEOMETRY_TYPES.keys():
+        raise CheckpointError(f"{path}: bad model geometry in meta (fields "
+                              f"{sorted(geom)}, not {sorted(GEOMETRY_TYPES)})")
+    if bad := _wrong_types(geom, GEOMETRY_TYPES):
+        raise CheckpointError(f"{path}: model geometry fields of the wrong type: {bad}")
     try:
-        name = _read_exact(fh, nlen).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CheckpointError(f"tensor name is not UTF-8 ({e})") from None
-    (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-    data = np.frombuffer(_read_exact(fh, 4 * math.prod(dims)), dtype="<f4").reshape(dims)
-    return name, data.astype(np.float32, copy=True)
-
-
-def _check_geometry(path, tensors: dict, geom) -> None:
-    """The parameter tensors must be exactly those of the model geometry
-    `geom` (a ModelConfig as a dict), in order and in shape."""
-    try:
-        want = param_shapes(ModelConfig(**geom))
-    except TypeError as e:
+        return ModelConfig(**geom).validate()
+    except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: bad model geometry in meta ({e})") from None
-    got = {name: arr.shape for name, arr in tensors.items()}
-    if list(got.items()) != list(want.items()):
-        wrong = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
-        raise CheckpointError(f"{path}: tensors do not match the model geometry in meta: "
-                              + (", ".join(wrong[:5]) or "out of order"))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     path = os.fspath(path)
-    tensors = list(ckpt.params.arrays.items())
+    flat = ckpt.params.flat
+    shapes = [(k, a.shape) for k, a in ckpt.params.arrays.items()]
+    if shapes != list(param_shapes(_geometry(path, ckpt.meta)).items()):
+        raise CheckpointError(f"{path}: parameters do not match the model geometry in meta")
+    buffers = [flat]
     opt_header = None
     if ckpt.opt is not None:
         o = ckpt.opt
-        opt_header = {
-            "kind": o.kind, "step": o.step, "beta1": BETA1,
-            "beta2": BETA2, "eps": EPS, "names": list(ckpt.params.arrays),
-        }
-        tensors.append(("optim/m", o.m))
-        tensors.append(("optim/v", o.v))
+        if o.m.shape != flat.shape or o.v.shape != flat.shape:
+            raise CheckpointError(f"{path}: optimizer moments are not laid out "
+                                  "like the parameters")
+        opt_header = {"kind": o.kind, "step": o.step}
+        buffers += [o.m, o.v]
     header = {
         "stage": ckpt.stage,
         "step": ckpt.step,
@@ -133,19 +111,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config_digest": ckpt.config_digest,
         "optimizer": opt_header,
         "meta": ckpt.meta,
-        "tensor_count": len(tensors),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    chunks = [PREAMBLE.pack(MAGIC, VERSION, len(blob)), blob]
+    chunks += [np.ascontiguousarray(b, dtype="<f4") for b in buffers]
+    digest = hashlib.sha256()
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=d)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<H", VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for name, arr in tensors:
-                _write_tensor(fh, name, arr)
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -159,32 +137,31 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
                     expect_config_digest: str | None = None) -> Checkpoint:
     path = os.fspath(path)
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = memoryview(fh.read())
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
-    with fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unknown checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
-        try:
-            header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: corrupt header ({e})") from None
-        if not isinstance(header, dict) or not {"stage", "step", "tensor_count"} <= header.keys():
-            raise CheckpointError(f"{path}: header lacks stage, step or tensor_count")
-        if bad := _wrong_types(header, HEADER_TYPES):
-            raise CheckpointError(f"{path}: header fields of the wrong type: {bad}")
-        tensors = {}
-        for _ in range(header["tensor_count"]):
-            name, arr = _read_tensor(fh)
-            if name in tensors:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            tensors[name] = arr
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after last tensor")
+    if len(raw) < PREAMBLE.size + DIGEST_SIZE:
+        raise CheckpointError(f"{path}: truncated checkpoint file ({len(raw)} bytes)")
+    magic, version, hlen = PREAMBLE.unpack_from(raw)
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unknown checkpoint version {version}")
+    body = raw[:-DIGEST_SIZE]
+    if hashlib.sha256(body).digest() != raw[-DIGEST_SIZE:]:
+        raise CheckpointError(f"{path}: digest mismatch, the file is corrupt")
+    payload = len(body) - PREAMBLE.size - hlen
+    if payload < 0:
+        raise CheckpointError(f"{path}: header length {hlen} runs past the end of the file")
+    try:
+        header = json.loads(bytes(body[PREAMBLE.size:PREAMBLE.size + hlen]).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: corrupt header ({e})") from None
+    if not isinstance(header, dict) or not {"stage", "step", "meta"} <= header.keys():
+        raise CheckpointError(f"{path}: header lacks stage, step or meta")
+    if bad := _wrong_types(header, HEADER_TYPES):
+        raise CheckpointError(f"{path}: header fields of the wrong type: {bad}")
 
     if expect_vocab_digest is not None and header.get("vocab_digest") != expect_vocab_digest:
         raise CheckpointError(
@@ -197,34 +174,26 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
 
     oh = header.get("optimizer")
     if oh is not None:
-        missing = [k for k in ("kind", "step", "names", "beta1", "beta2", "eps")
-                   if k not in oh]
-        if missing:
+        if missing := [k for k in OPTIMIZER_TYPES if k not in oh]:
             raise CheckpointError(f"{path}: optimizer header missing {missing}")
         if bad := _wrong_types(oh, OPTIMIZER_TYPES):
             raise CheckpointError(f"{path}: optimizer fields of the wrong type: {bad}")
         if oh["kind"] not in OPTIMIZERS:
             raise CheckpointError(f"{path}: unknown optimizer kind {oh['kind']!r}")
-        if (oh["beta1"], oh["beta2"], oh["eps"]) != (BETA1, BETA2, EPS):
-            raise CheckpointError(
-                f"{path}: optimizer betas/eps {oh['beta1']}, {oh['beta2']}, "
-                f"{oh['eps']} differ from {BETA1}, {BETA2}, {EPS}")
-        for aux in ("optim/m", "optim/v"):
-            if aux not in tensors:
-                raise CheckpointError(f"{path}: optimizer header present but {aux} missing")
-        m = tensors.pop("optim/m")
-        v = tensors.pop("optim/v")
-        if oh["names"] != list(tensors):
-            raise CheckpointError(f"{path}: optimizer names do not match the saved tensors")
-    if "model" in header.get("meta", {}):
-        _check_geometry(path, tensors, header["meta"]["model"])
-    params = ModelParams(tensors)
+    geom = _geometry(path, header["meta"])
+    n = count_params(geom)
+    want = 4 * n * (1 if oh is None else 3)
+    if payload != want:
+        raise CheckpointError(f"{path}: payload is {payload} bytes, the model geometry "
+                              f"in meta needs {want}")
+    floats = np.frombuffer(body, dtype="<f4", offset=PREAMBLE.size + hlen)
+    params = ModelParams({k: np.empty(s, np.float32) for k, s in param_shapes(geom).items()})
+    params.flat[...] = floats[:n]
     opt = None
     if oh is not None:
-        if m.shape != params.flat.shape or v.shape != params.flat.shape:
-            raise CheckpointError(f"{path}: optimizer buffer size mismatch")
-        opt = OptimState(kind=oh["kind"], m=m, v=v, step=int(oh["step"]))
+        opt = OptimState(kind=oh["kind"], m=floats[n:2 * n].astype(np.float32),
+                         v=floats[2 * n:].astype(np.float32), step=oh["step"])
 
     return Checkpoint(params, opt, header["stage"], header["step"],
                       header.get("vocab_digest", ""), header.get("config_digest", ""),
-                      header.get("meta", {}))
+                      header["meta"])

@@ -18,9 +18,9 @@ from dataclasses import asdict
 from .config import apply_overrides, from_dict, read_config_doc
 from .checkpoint import load_checkpoint
 from .errors import CheckpointError, ConfigError, DataError, NumericError
-from .evaluation import evaluate_model, format_report, write_report
-from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, build_context,
-                       generate_benchmark, generate_synthetic, run_pipeline,
+from .evaluation import format_report, write_report
+from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, _mean_bleu,
+                       build_context, generate_benchmark, generate_synthetic, run_pipeline,
                        run_stage1, run_stage2, run_stage3, save_resolved_config,
                        save_run_meta, synthetic_rounds)
 
@@ -49,8 +49,7 @@ def _context(args):
 
 
 def _check_geometry(ctx, path, ck):
-    geom = ck.meta.get("model")
-    if geom and geom != asdict(ctx.model_cfg):
+    if ck.meta["model"] != asdict(ctx.model_cfg):
         raise DataError(f"{path}: checkpoint model geometry differs from the "
                         "config's; evaluate it with the config it was trained under")
     return ck
@@ -172,10 +171,7 @@ def cmd_evaluate(args):
     src = _from_path(args, "evaluate")
     ck = _load_ckpt(ctx, src)
     sets = _load_eval_sets(ctx.cfg.testsets, args.split)
-    rows = evaluate_model(ck.params, ctx.model_cfg, ctx.vocab, sets,
-                          mode=ctx.cfg.eval.mode,
-                          max_len=ctx.cfg.eval.max_len,
-                          batch_size=ctx.cfg.eval.batch_size)
+    _, rows = _mean_bleu(ctx, ck.params, sets)
     stem = os.path.splitext(os.path.basename(src))[0]
     write_report(rows,
                  os.path.join(args.out, f"report.{stem}.{args.split}.tsv"),

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, DataError
 from .synthlang import BenchmarkConfig
+from .tokenizer import read_json
 
 SCHEMA_VERSION = 1
 OPTIMIZERS = ("adam", "adamax")
@@ -272,13 +273,7 @@ def read_config_doc(path) -> dict:
     """The raw JSON document of a config file, before overrides and checks.
     Its manifest and testsets paths are relative to the file, and come back
     joined to its directory (an absolute path stays as it is)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    doc = read_json(path, "config", error=ConfigError)
     root = os.path.dirname(os.path.abspath(path))
     for key in DATA_PATH_KEYS:
         if isinstance(doc, dict) and isinstance(doc.get(key), str) and doc[key]:

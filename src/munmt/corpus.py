@@ -167,28 +167,22 @@ def write_json(path, doc) -> None:
 def load_manifest(path):
     """Parse and check the manifest. Returns (languages, dataset entries),
     each entry's paths resolved against the manifest's directory."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise DataError(f"cannot read manifest {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"manifest {path} is not valid JSON: {e}") from None
-    if doc.get("format") != MANIFEST_FORMAT or doc.get("version") != 1:
-        raise DataError(f"manifest {path} has unknown format/version")
+    doc = tok.read_json(path, "manifest", MANIFEST_FORMAT)
+    declared, entries = doc.get("languages", []), doc.get("datasets", [])
+    if not isinstance(declared, list) or not isinstance(entries, list):
+        raise DataError(f"manifest {path}: languages and datasets must be lists")
     problems = []
     languages = []
     seen = set()
-    for entry in doc.get("languages", []):
-        name = entry.get("name")
-        if not name or name in seen:
+    for entry in declared:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or not name or name in seen:
             problems.append(f"bad or duplicate language entry {entry!r}")
             continue
         seen.add(name)
         languages.append(LanguageId(name, bool(entry.get("english")), bool(entry.get("target"))))
     if sum(1 for l in languages if l.is_english) != 1:
         problems.append("manifest must declare exactly one English language")
-    entries = doc.get("datasets", [])
     problems += entry_problems(entries, languages)
     if problems:
         raise DataError("; ".join(problems))

@@ -10,7 +10,7 @@ else is shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,7 +90,12 @@ def param_shapes(cfg: ModelConfig) -> dict:
 
 
 def count_params(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+    """The parameter count, from the one- and two-layer layouts: every layer
+    is the same size, so the cost does not grow with `layers` (a checkpoint
+    sizes an untrusted geometry by this before laying it out)."""
+    one, two = (sum(math.prod(s) for s in param_shapes(replace(cfg, layers=n)).values())
+                for n in (1, 2))
+    return one + (cfg.layers - 1) * (two - one)
 
 
 class ModelParams:

@@ -9,7 +9,6 @@ number, so a run can be stopped at any checkpoint and resumed bit-exactly.
 from __future__ import annotations
 
 import copy
-import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,7 +30,8 @@ from .objectives import (back_translation_loss, cross_entropy_loss,
 from .optim import OptimState, lr_at, optimizer_step
 from .rng import named_rng
 from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
-from .tokenizer import read_lines, save_vocab, train_bpe, vocab_digest, write_lines
+from .tokenizer import (read_json, read_lines, save_vocab, train_bpe, vocab_digest,
+                        write_lines)
 
 STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 
@@ -377,13 +377,9 @@ def stage_entries(ctx: RunContext, label: str) -> list:
         return []
     entries = []
     for n, path in synthetic_rounds(ctx, label).items():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"{path} not found: run synth-bt --round {n} first") from None
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read entries file {path}: {e}") from None
+        if not os.path.exists(path):
+            raise DataError(f"{path} not found: run synth-bt --round {n} first")
+        doc = read_json(path, "entries file")
         if not isinstance(doc, list):
             raise DataError(f"{path}: expected a JSON list of dataset entries")
         entries += resolve_paths(doc, path)
@@ -441,10 +437,16 @@ def _load_eval_sets(testsets_path, split):
 
 
 def _mean_bleu(ctx, params, sets):
+    """Score `params` on `sets` under the run's eval settings: the mean BLEU
+    and the per-direction rows. Every evaluation of a run comes through here."""
     rows = evaluate_model(params, ctx.model_cfg, ctx.vocab, sets,
                           mode=ctx.cfg.eval.mode, max_len=ctx.cfg.eval.max_len,
                           batch_size=ctx.cfg.eval.batch_size)
     return sum(r.bleu.score for r in rows) / len(rows), rows
+
+
+def _scores_line(rows) -> str:
+    return " ".join(f"{r.direction}={r.bleu.score:.2f}" for r in rows)
 
 
 def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
@@ -520,8 +522,7 @@ def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
                     f"({attempt} updates attempted)")
             if dev_sets and sweeps_run % spec.eval_every == 0:
                 score, rows = _mean_bleu(ctx, params, dev_sets)
-                detail = " ".join(f"{r.direction}={r.bleu.score:.2f}" for r in rows)
-                ctx.say(f"[stage3] dev mean {score:.2f} ({detail})")
+                ctx.say(f"[stage3] dev mean {score:.2f} ({_scores_line(rows)})")
                 if best_score is None or score > best_score:
                     best_score = score
                     best = (params.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step)
@@ -623,14 +624,11 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
 def _report(ctx, params, test_sets, label, scores):
     if not test_sets:
         return
-    rows = evaluate_model(params, ctx.model_cfg, ctx.vocab, test_sets,
-                          mode=ctx.cfg.eval.mode, max_len=ctx.cfg.eval.max_len,
-                          batch_size=ctx.cfg.eval.batch_size)
+    _, rows = _mean_bleu(ctx, params, test_sets)
     write_report(rows, os.path.join(ctx.out_dir, f"report.{label}.tsv"),
                  os.path.join(ctx.out_dir, f"report.{label}.json"))
     scores[label] = {r.direction: round(r.bleu.score, 4) for r in rows}
-    detail = " ".join(f"{r.direction}={r.bleu.score:.2f}" for r in rows)
-    ctx.say(f"[eval] {label}: {detail}")
+    ctx.say(f"[eval] {label}: {_scores_line(rows)}")
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,

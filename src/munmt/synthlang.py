@@ -20,7 +20,6 @@ parallel data.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -30,7 +29,7 @@ import numpy as np
 from .corpus import LanguageId, save_manifest, write_json
 from .errors import ConfigError, DataError
 from .rng import named_rng
-from .tokenizer import write_lines
+from .tokenizer import read_json, write_lines
 
 ZIPF_EXPONENT = 1.1
 TAIL_START = 10  # ranks below this never swap; head mass stays exact
@@ -236,16 +235,16 @@ def save_language_specs(path, specs) -> None:
 
 
 def load_language_specs(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read language file {path}: {e}") from None
-    if doc.get("format") != "munmt-languages" or doc.get("version") != 1:
-        raise DataError(f"{path}: unknown language file format")
+    doc = read_json(path, "language file", "munmt-languages")
+    entries = doc.get("languages")
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: languages must be a list")
     out = {}
-    for entry in doc["languages"]:
-        spec = LanguageSpec(**entry).validate()
+    for entry in entries:
+        try:
+            spec = LanguageSpec(**entry).validate()
+        except TypeError as e:
+            raise DataError(f"{path}: bad language entry {entry!r} ({e})") from None
         out[spec.name] = spec
     return out
 
@@ -466,13 +465,7 @@ def load_testsets(path) -> dict:
     """The testsets document, each dev and test file resolved against the
     directory of `path`, each eval direction checked to name two languages
     that both splits map."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read testsets file {path}: {e}") from None
-    if doc.get("format") != "munmt-testsets" or doc.get("version") != 1:
-        raise DataError(f"{path}: unknown testsets format")
+    doc = read_json(path, "testsets file", "munmt-testsets")
     root = os.path.dirname(os.path.abspath(path))
     try:
         for split in ("dev", "test"):

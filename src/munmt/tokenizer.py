@@ -9,6 +9,7 @@ lexicographically smallest pair.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -198,6 +199,21 @@ def read_lines(path):
             return fh.read().splitlines()
     except OSError as e:
         raise DataError(f"cannot read corpus file {path}: {e}") from None
+
+
+def read_json(path, what: str, fmt: str | None = None, error=DataError):
+    """The JSON document in the file `path`, a `what` such as "manifest".
+    With `fmt`, it must be an object of that format at version 1. A failure
+    raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise error(f"cannot read {what} {path}: {e}") from None
+    if fmt is not None and not (isinstance(doc, dict) and doc.get("format") == fmt
+                                and doc.get("version") == 1):
+        raise error(f"{path}: not a {fmt} document at version 1")
+    return doc
 
 
 def write_lines(path, lines) -> None:

@@ -240,6 +240,26 @@ def test_missing_checkpoint_exits_3(chain):
                  "--quiet", "--from", str(out / "nope.ckpt")]) == 3
 
 
+def test_flipped_payload_byte_exits_3(chain, tmp_path, capsys):
+    root, cfg_path, out, _, _ = chain
+    raw = bytearray((out / "stage3.ckpt").read_bytes())
+    raw[len(raw) - 100] ^= 0x01  # a byte of the second moment
+    bad = tmp_path / "flipped.ckpt"
+    bad.write_bytes(bytes(raw))
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet", "--from", str(bad)]) == 3
+    assert "digest mismatch" in capsys.readouterr().err
+
+
+def test_manifest_that_is_no_object_exits_3(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("[]")
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(dict(CFG_DOC, manifest="manifest.json")))
+    assert main(["train-vocab", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "run"), "--quiet"]) == 3
+    assert "not a munmt-manifest document" in capsys.readouterr().err
+
+
 def test_out_dir_collision_exits_5(tmp_path):
     blocked = tmp_path / "file"
     blocked.write_text("x")

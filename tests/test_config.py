@@ -197,3 +197,9 @@ def test_load_config_file(tmp_path):
         load_config(tmp_path / "bad.json")
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+    (tmp_path / "list.json").write_text("[]")
+    with pytest.raises(ConfigError, match="root must be a JSON object"):
+        load_config(tmp_path / "list.json")
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xe9"}')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path / "latin1.json")

@@ -267,6 +267,21 @@ def test_manifest_rejects_wrong_format(tmp_path):
         load_manifest(p2)
 
 
+@pytest.mark.parametrize("doc, match", [
+    ([], "not a munmt-manifest document"),
+    ({"languages": [1]}, "bad or duplicate language entry"),
+    ({"languages": [{"name": ["en"]}]}, "bad or duplicate language entry"),
+    ({"datasets": {"d1": {}}}, "must be lists"),
+], ids=["list-root", "number-language", "list-name", "dict-datasets"])
+def test_manifest_parts_that_are_not_objects_rejected(tmp_path, doc, match):
+    if isinstance(doc, dict):
+        doc = {"format": "munmt-manifest", "version": 1, **doc}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match=match):
+        load_manifest(p)
+
+
 def test_registry_drops_long_and_mismatched(tmp_path):
     langs = [LanguageId("en", True, False)]
     long_line = " ".join(["ab"] * 100)

@@ -296,6 +296,18 @@ def test_entries_files_with_absolute_paths_still_load(synth, tmp_path):
     assert pipeline.stage_entries(moved, "stage2a") == r1
 
 
+def test_unreadable_entries_files_are_data_errors(env, tmp_path):
+    ctx = dataclasses.replace(env[2], out_dir=str(tmp_path))
+    with pytest.raises(DataError, match="run synth-bt --round 1 first"):
+        pipeline.stage_entries(ctx, "stage2a")
+    (tmp_path / "synthetic").mkdir()
+    entries = tmp_path / "synthetic" / "r1.entries.json"
+    for text, match in (("{}", "expected a JSON list"), ("[", "cannot read entries file")):
+        entries.write_text(text)
+        with pytest.raises(DataError, match=match):
+            pipeline.stage_entries(ctx, "stage2a")
+
+
 def test_all_empty_synthetic_corpus_is_refused(env, monkeypatch):
     ctx = ctx_at(env, "deadround")
     monkeypatch.setattr(pipeline, "translate_corpus",

@@ -285,6 +285,20 @@ def test_malformed_testsets_file_is_a_data_error(bench, tmp_path, edit):
         load_testsets(bad)
 
 
+def test_testsets_and_language_files_that_are_not_objects_rejected(tmp_path):
+    bad = tmp_path / "doc.json"
+    bad.write_text("[]")
+    with pytest.raises(DataError, match="not a munmt-testsets document"):
+        load_testsets(bad)
+    with pytest.raises(DataError, match="not a munmt-languages document"):
+        load_language_specs(bad)
+    for languages, match in ((None, "must be a list"), ([1], "bad language entry")):
+        bad.write_text(json.dumps({"format": "munmt-languages", "version": 1,
+                                   "languages": languages}))
+        with pytest.raises(DataError, match=match):
+            load_language_specs(bad)
+
+
 def test_benchmark_deterministic(tmp_path):
     p1 = build_benchmark(small_cfg(tmp_path / "one"))
     p2 = build_benchmark(small_cfg(tmp_path / "two"))
