@@ -1,9 +1,11 @@
 """Training orchestration: three stages, synthetic rounds, audit logs.
 
-Stages 1 and 2 share one sampled-update loop (they differ only in which
-datasets exist); stage 3 runs deterministic sweeps over a precomputed update
-plan. Every random draw comes from a stream named after the stage and step
-number, so a run can be stopped at any checkpoint and resumed bit-exactly.
+Every stage yields its updates to one loop, which checks, applies, audits
+and checkpoints them. Stages 1 and 2 yield sampled updates (they differ only
+in which datasets exist); stage 3 yields deterministic sweeps over a
+precomputed update plan. Every random draw comes from a stream named after
+the stage and step number, so a run can be stopped at any checkpoint and
+resumed bit-exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .objectives import (back_translation_loss, cross_entropy_loss,
 from .optim import OptimState, lr_at, optimizer_step
 from .rng import named_rng
 from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
-from .tokenizer import (read_json, read_lines, save_vocab, train_bpe, vocab_digest,
-                        write_lines)
+from .tokenizer import (read_json, read_lines, read_text, save_vocab, train_bpe,
+                        vocab_digest, write_lines)
 
 STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 
@@ -87,35 +89,6 @@ class RunContext:
             load_dataset(e, self.vocab, limit) for e in extra_entries]
 
 
-class AuditLog:
-    """One tab-separated line per attempted update:
-    step dataset objective src_lang tgt_lang loss
-    Loss is %.10g, or the literal "skip" when every decode came back empty.
-
-    A log opened for a run resumed at `start_step` keeps the complete rows of
-    the earlier steps already in the file and drops the rest, so the steps
-    that are run again are logged once."""
-
-    def __init__(self, path, start_step: int = 0):
-        kept = []
-        if start_step > 0 and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                kept = [row for row in fh if row.endswith("\n")
-                        and int(row.split("\t", 1)[0]) < start_step]
-        self.fh = open(path, "w", encoding="utf-8")
-        self.fh.writelines(kept)
-
-    def note(self, step, dataset, objective, src_lang, tgt_lang, loss):
-        val = "skip" if loss is None else "%.10g" % loss
-        self.fh.write(f"{step}\t{dataset}\t{objective}\t{src_lang}\t{tgt_lang}\t{val}\n")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
 def _english_and_targets(languages):
     english = [l.name for l in languages if l.is_english]
     if len(english) != 1:
@@ -155,26 +128,81 @@ def check_manifest_compat(cfg: ExperimentConfig, languages, entries) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stages 1 and 2: the sampled-update loop
+# the update loop every stage runs through
 
 
-def _update(params: ModelParams, opt: OptimState, loss, lr: float, spec,
-            where: str) -> float:
-    """Check that the loss is finite, backpropagate it, and apply one
-    optimizer step. Returns the loss value; `where` locates a failure."""
-    val = float(loss.data)
-    if not np.isfinite(val):
-        raise NumericError(f"non-finite loss at {where}")
-    grads = T.backward(loss, params.tensors)
-    optimizer_step(params, grads, opt, lr, weight_decay=spec.weight_decay,
-                   clip_norm=spec.clip_norm or None)
-    return val
+def _audit_rows(path, start_step: int) -> list:
+    """The rows of the audit log `path` that a run resumed at `start_step`
+    keeps: the complete rows of the earlier steps, so the steps run again are
+    logged once. A missing log keeps nothing; a partial last row is dropped."""
+    if start_step == 0 or not os.path.exists(path):
+        return []
+    kept = []
+    for n, row in enumerate(read_text(path, "audit log").split("\n")[:-1], 1):
+        step = row.split("\t", 1)[0]
+        try:
+            if int(step) < start_step:
+                kept.append(row + "\n")
+        except ValueError:
+            raise DataError(f"audit log {path} line {n}: step {step!r} "
+                            "is not an integer") from None
+    return kept
+
+
+def _run_updates(ctx: RunContext, params: ModelParams, opt: OptimState, spec,
+                 label: str, stage_tag: str, updates, start_step: int,
+                 steps: int, interval: int = 0, meta: dict | None = None
+                 ) -> Checkpoint:
+    """Apply the updates a stage yields, numbered from `start_step`. An
+    update is (dataset, objective, src_lang, tgt_lang, loss, lr); a loss of
+    None, a batch whose every decode came back empty, costs no step.
+
+    Each loss is checked to be finite, backpropagated and applied by one
+    optimizer step. Each update is one row of audit.<label>.tsv: step,
+    dataset, objective, src_lang, tgt_lang, and the loss as %.10g or "skip".
+    Every `interval` updates before `steps` the log is flushed and a
+    mid-stage checkpoint saved. The final checkpoint's step is the number of
+    updates run, and its header carries `meta` as the stage left it."""
+    def checkpoint(step):
+        return Checkpoint(params, opt, stage_tag, step, ctx.vocab_digest,
+                          ctx.config_digest, dict(meta or {}, stage_label=label,
+                                                  model=asdict(ctx.model_cfg)))
+
+    path = os.path.join(ctx.out_dir, f"audit.{label}.tsv")
+    kept = _audit_rows(path, start_step)
+    t = start_step
+    with open(path, "w", encoding="utf-8") as audit:
+        audit.writelines(kept)
+        for ds_id, obj, src_l, tgt_l, loss, lr in updates:
+            logged = "skip"
+            if loss is not None:
+                val = float(loss.data)
+                if not np.isfinite(val):
+                    raise NumericError(f"non-finite loss at {label} step {t} "
+                                       f"(dataset {ds_id}, {obj})")
+                grads = T.backward(loss, params.tensors)
+                optimizer_step(params, grads, opt, lr, weight_decay=spec.weight_decay,
+                               clip_norm=spec.clip_norm or None)
+                logged = "%.10g" % val
+            audit.write(f"{t}\t{ds_id}\t{obj}\t{src_l}\t{tgt_l}\t{logged}\n")
+            t += 1
+            if interval and t % interval == 0 and t < steps:
+                audit.flush()  # a resume from this checkpoint needs every earlier row
+                save_checkpoint(checkpoint(t), os.path.join(
+                    ctx.out_dir, f"{label}.step{t:06d}.ckpt"))
+    final = checkpoint(t)
+    save_checkpoint(final, os.path.join(ctx.out_dir, f"{label}.ckpt"))
+    return final
+
+
+# ---------------------------------------------------------------------------
+# stages 1 and 2: sampled updates
 
 
 def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                    spec, stage_tag: str, opt: OptimState | None = None,
                    start_step: int = 0) -> Checkpoint:
-    """Sampled training loop: each step picks a dataset, draws a batch, and
+    """Sampled training: each step picks a dataset, draws a batch, and
     applies one update. Mono batches train the masked-span objective; real
     parallel batches train supervised CE in both directions; synthetic
     parallel batches train CE in their labeled direction only.
@@ -195,13 +223,8 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
     if bad:
         raise ConfigError(bad)
     mcfg = ctx.model_cfg
-    interval = spec.checkpoint_interval
 
-    def meta():
-        return {"model": asdict(mcfg), "stage_label": label}
-
-    with AuditLog(os.path.join(ctx.out_dir, f"audit.{label}.tsv"),
-                  start_step) as audit:
+    def updates():
         for t in range(start_step, spec.steps):
             rng = named_rng(ctx.cfg.seed, f"{label}:step{t}")
             ds = choose_dataset(datasets, policy, rng)
@@ -216,23 +239,14 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                 if not ds.synthetic:
                     rev = cross_entropy_loss(params, mcfg, tgt, src, ds.src)
                     loss, obj = T.add(loss, rev), "ce2"
-            val = _update(params, opt, loss, lr_at(spec.lr, t), spec,
-                          f"{label} step {t} (dataset {ds.id})")
-            audit.note(t, ds.id, obj, src_l, tgt_l, val)
+            yield ds.id, obj, src_l, tgt_l, loss, lr_at(spec.lr, t)
             done = t + 1
             if done % 500 == 0 or done == spec.steps:
-                ctx.say(f"[{label}] step {done}/{spec.steps} loss {val:.4f}")
-            if interval and done % interval == 0 and done < spec.steps:
-                audit.fh.flush()  # a resume from this checkpoint needs every earlier row
-                ck = Checkpoint(params, opt, stage_tag, done,
-                                ctx.vocab_digest, ctx.config_digest, meta())
-                save_checkpoint(ck, os.path.join(
-                    ctx.out_dir, f"{label}.step{done:06d}.ckpt"))
+                ctx.say(f"[{label}] step {done}/{spec.steps} loss "
+                        f"{float(loss.data):.4f}")
 
-    final = Checkpoint(params, opt, stage_tag, spec.steps,
-                       ctx.vocab_digest, ctx.config_digest, meta())
-    save_checkpoint(final, os.path.join(ctx.out_dir, f"{label}.ckpt"))
-    return final
+    return _run_updates(ctx, params, opt, spec, label, stage_tag, updates(),
+                        start_step, spec.steps, spec.checkpoint_interval)
 
 
 def run_stage1(ctx: RunContext, params: ModelParams | None = None,
@@ -454,7 +468,8 @@ def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
     on the manifest's data plus stage_entries(ctx, "stage3"), restricted to
     the arm's stage-3 objectives.
 
-    Deterministic: no sampling. Batches come from a fixed length-bucketed
+    Deterministic: no sampling. Update t is plan entry t mod len(plan) of
+    sweep t div len(plan). Batches come from a fixed length-bucketed
     partition of each dataset; sweep s uses batch s modulo the partition size.
     A decode that comes back empty for the whole batch is logged as a skip
     and costs no update. Dev BLEU is checked every `eval_every` sweeps; after
@@ -479,70 +494,52 @@ def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
     dev_sets = None
     if ctx.cfg.testsets and spec.eval_every > 0:
         dev_sets = _load_eval_sets(ctx.cfg.testsets, "dev")
-    best_score = None
-    best = None  # (params.flat, opt.m, opt.v, opt.step) at the best dev check
-    stale = 0
-    attempt = 0
-    sweeps_run = 0
+    meta = {"sweeps_run": 0, "best_dev": None}
 
-    with AuditLog(os.path.join(ctx.out_dir, "audit.stage3.tsv")) as audit:
+    def sweeps():
+        best = None  # (params.flat, opt.m, opt.v, opt.step) at the best dev check
+        stale = 0
         for sweep in range(spec.sweeps):
             for ds_id, obj, src_l, tgt_l in plan:
-                ds = by_id[ds_id]
-                blist = batches[ds_id]
+                ds, blist = by_id[ds_id], batches[ds_id]
                 batch = blist[sweep % len(blist)]
                 if obj == "bt":
-                    res = back_translation_loss(params, mcfg, batch,
-                                                x_lang=tgt_l, via_lang=src_l,
-                                                max_len=spec.max_len)
-                    loss = res.loss
+                    loss = back_translation_loss(params, mcfg, batch, x_lang=tgt_l,
+                                                 via_lang=src_l,
+                                                 max_len=spec.max_len).loss
                 elif obj == "ct":  # from the auxiliary side to the English one
                     x, y = zip(*batch)
                     x_lang = ds.src
                     if ds.src == english:
                         x, y, x_lang = y, x, ds.tgt
-                    res = cross_translation_loss(params, mcfg, x, y,
-                                                 src_lang=x_lang, tgt_lang=tgt_l,
-                                                 via_lang=src_l,
-                                                 max_len=spec.max_len)
-                    loss = res.loss
+                    loss = cross_translation_loss(params, mcfg, x, y, src_lang=x_lang,
+                                                  tgt_lang=tgt_l, via_lang=src_l,
+                                                  max_len=spec.max_len).loss
                 else:
                     src, tgt = zip(*batch)
                     loss = cross_entropy_loss(params, mcfg, src, tgt, ds.tgt)
-                if loss is None:
-                    audit.note(attempt, ds_id, obj, src_l, tgt_l, None)
-                    attempt += 1
-                    continue
-                val = _update(params, opt, loss, lr, spec,
-                              f"stage3 sweep {sweep} (dataset {ds_id}, {obj})")
-                audit.note(attempt, ds_id, obj, src_l, tgt_l, val)
-                attempt += 1
-            sweeps_run = sweep + 1
-            ctx.say(f"[stage3] sweep {sweeps_run}/{spec.sweeps} done "
-                    f"({attempt} updates attempted)")
-            if dev_sets and sweeps_run % spec.eval_every == 0:
+                yield ds_id, obj, src_l, tgt_l, loss, lr
+            meta["sweeps_run"] = done = sweep + 1
+            ctx.say(f"[stage3] sweep {done}/{spec.sweeps} done "
+                    f"({done * len(plan)} updates attempted)")
+            if dev_sets and done % spec.eval_every == 0:
                 score, rows = _mean_bleu(ctx, params, dev_sets)
                 ctx.say(f"[stage3] dev mean {score:.2f} ({_scores_line(rows)})")
-                if best_score is None or score > best_score:
-                    best_score = score
+                if meta["best_dev"] is None or score > meta["best_dev"]:
+                    meta["best_dev"] = score
                     best = (params.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step)
                     stale = 0
                 else:
                     stale += 1
                     if spec.patience and stale >= spec.patience:
-                        ctx.say(f"[stage3] stopping early after {sweeps_run} sweeps")
+                        ctx.say(f"[stage3] stopping early after {done} sweeps")
                         break
+        if best is not None:
+            params.flat[...] = best[0]
+            opt.m, opt.v, opt.step = best[1:]
 
-    if best is not None:
-        params.flat[...] = best[0]
-        opt.m, opt.v, opt.step = best[1:]
-
-    meta = {"model": asdict(mcfg), "stage_label": "stage3",
-            "sweeps_run": sweeps_run, "best_dev": best_score}
-    final = Checkpoint(params, opt, "3", attempt, ctx.vocab_digest,
-                       ctx.config_digest, meta)
-    save_checkpoint(final, os.path.join(ctx.out_dir, "stage3.ckpt"))
-    return final
+    return _run_updates(ctx, params, opt, spec, "stage3", "3", sweeps(), 0,
+                        spec.sweeps * len(plan), meta=meta)
 
 
 # ---------------------------------------------------------------------------

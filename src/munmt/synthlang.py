@@ -473,8 +473,9 @@ def load_testsets(path) -> dict:
     except (KeyError, AttributeError, TypeError):
         raise DataError(f"{path}: dev and test must map languages to files") from None
     directions = doc.get("eval_directions")
-    if not isinstance(directions, list):
-        raise DataError(f"{path}: eval_directions must be a list of directions")
+    if not isinstance(directions, list) or not directions:
+        raise DataError(f"{path}: eval_directions must be a non-empty list of "
+                        "directions")
     for d in directions:
         pair = d.split("-") if isinstance(d, str) else ()
         if len(pair) != 2 or not all(l in doc[s] for s in ("dev", "test") for l in pair):

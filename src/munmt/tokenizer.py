@@ -193,12 +193,31 @@ def decode(vocab: Vocab, ids) -> str:
 # line files and the vocab file format
 
 
-def read_lines(path):
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file `path`, a `what` such as "audit log". A
+    file that cannot be read, or that is not UTF-8, raises DataError naming
+    it and, for bytes that do not decode, their line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
-        raise DataError(f"cannot read corpus file {path}: {e}") from None
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{what} {path} line {line} is not UTF-8: "
+                        f"{e.reason}") from None
+
+
+def read_lines(path):
+    """The lines of a UTF-8 text file. Lines break at "\\n" only, and a last
+    line without one still counts, so this reads back what write_lines
+    wrote. A "\\r" stays in its line; normalize drops it before encoding."""
+    lines = read_text(path, "corpus file").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def read_json(path, what: str, fmt: str | None = None, error=DataError):
@@ -230,8 +249,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = read_lines(path)
     if not raw:
         raise DataError(f"empty vocab file {path}")
     m = VOCAB_HEADER.match(raw[0])

@@ -266,6 +266,55 @@ def test_out_dir_collision_exits_5(tmp_path):
     assert main(["synth-data", "--out", str(blocked), "--quiet"]) == 5
 
 
+def test_non_utf8_corpus_exits_3(chain, tmp_path, capsys):
+    root, cfg_path, out, _, _ = chain
+    bench = tmp_path / "bench"
+    shutil.copytree(out / "benchmark", bench)
+    mono = bench / "mono.en.txt"
+    lines = mono.read_bytes().count(b"\n")
+    with open(mono, "ab") as fh:
+        fh.write(b"caf\xe9\n")
+    assert main(["train-vocab", "--config", str(cfg_path), "--quiet",
+                 "--out", str(tmp_path / "run"),
+                 "--override", f"manifest={bench / 'manifest.json'}"]) == 3
+    assert f"mono.en.txt line {lines + 1} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+def test_empty_eval_directions_exit_3(chain, tmp_path, capsys, command):
+    root, cfg_path, out, _, _ = chain
+    bench = out / "benchmark"
+    doc = json.loads((bench / "testsets.json").read_text())
+    for split in ("dev", "test"):
+        doc[split] = {l: str(bench / p) for l, p in doc[split].items()}
+    doc["eval_directions"] = []
+    bad = tmp_path / "testsets.json"
+    bad.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    start = ["--from", str(out / "stage3.ckpt")] if command == "evaluate" else []
+    assert main([command, "--config", str(cfg_path), "--out", str(run), "--quiet",
+                 *start, "--override", f"manifest={bench / 'manifest.json'}",
+                 "--override", f"testsets={bad}"]) == 3
+    assert "eval_directions must be a non-empty list" in capsys.readouterr().err
+    assert not (run / "summary.json").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (b"0\tmono.en\tmass\ten\ten\t5.5\nx\tgarbage\n",
+     "line 2: step 'x' is not an integer"),
+    (b"0\tcaf\xe9\n", "line 1 is not UTF-8")], ids=["step", "utf8"])
+def test_malformed_audit_log_on_resume_exits_3(chain, tmp_path, capsys, rows,
+                                               message):
+    root, cfg_path, out, _, _ = chain
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "audit.stage1.tsv").write_bytes(rows)
+    assert main(["stage1", "--config", str(cfg_path), "--out", str(run), "--quiet",
+                 "--resume", str(run / "stage1.step000002.ckpt")]) == 3
+    assert message in capsys.readouterr().err
+    assert (run / "audit.stage1.tsv").read_bytes() == rows
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_4(chain, tmp_path, capsys):
     root, cfg_path, _, _, _ = chain

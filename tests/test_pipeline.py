@@ -422,6 +422,17 @@ def test_stage3_logs_skips_and_leaves_params_alone(env, monkeypatch):
     assert params_equal(params, before)
 
 
+def test_stage3_non_finite_loss_raises_with_location(env):
+    ctx = ctx_at(env, "s3nan", arm=REAL_ONLY)
+    _, datasets = ctx.registry()
+    ds_id, obj, _, _ = predict_sweep(ctx.languages, datasets, ctx.cfg.pivots)[0]
+    params = init_params(ctx.model_cfg, 5)
+    params.arrays["tok_emb"][:] = np.nan
+    with pytest.raises(NumericError,
+                       match=rf"stage3 step 0 \(dataset {ds_id}, {obj}\)$"):
+        run_stage3(ctx, params)
+
+
 def test_stage3_early_stop_restores_the_best_params(env, monkeypatch):
     import munmt.pipeline as pipe
     cfg = copy.deepcopy(env[1])

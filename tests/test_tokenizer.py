@@ -5,7 +5,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from munmt.errors import ConfigError, DataError
@@ -23,9 +23,11 @@ from munmt.tokenizer import (
     encode_line,
     load_vocab,
     normalize,
+    read_lines,
     save_vocab,
     train_bpe,
     vocab_digest,
+    write_lines,
 )
 
 
@@ -201,6 +203,29 @@ def test_vocab_file_corruption_detected(tmp_path):
     bad2.write_text("\n".join([lines[0]] + lines[2:]), encoding="utf-8")
     with pytest.raises(DataError):
         load_vocab(bad2)
+
+
+# every character str.splitlines breaks at, apart from "\n" itself
+OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.text(st.one_of(st.sampled_from(OTHER_BREAKS),
+                                  st.characters(exclude_characters="\n"))),
+                min_size=1, max_size=6))
+@example(["one two", "three\x85four"])
+@example(["crlf\r", "", "last"])
+def test_lines_break_at_newline_only(tmp_path_factory, lines):
+    p = tmp_path_factory.mktemp("lines") / "lines.txt"
+    write_lines(p, lines)
+    assert read_lines(p) == lines
+
+
+def test_a_last_line_without_newline_counts(tmp_path):
+    p = tmp_path / "lines.txt"
+    p.write_bytes(b"a\r\nb")
+    assert read_lines(p) == ["a\r", "b"]
+    assert normalize(read_lines(p)[0]) == "a"
 
 
 def test_marker_is_single_char_and_restores_spaces():
