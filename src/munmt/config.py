@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, DataError
@@ -36,6 +37,16 @@ class LrSpec:
             bad.append(f"{where}.lr.total must be >= warmup, got {self.total}")
 
 
+def _check_optimizer(spec, where, bad):
+    """The optimizer fields StageSpec and Stage3Spec share."""
+    if spec.optimizer not in OPTIMIZERS:
+        bad.append(f"{where}.optimizer must be adam or adamax, got {spec.optimizer!r}")
+    if spec.weight_decay < 0:
+        bad.append(f"{where}.weight_decay must be >= 0")
+    if spec.clip_norm < 0:
+        bad.append(f"{where}.clip_norm must be >= 0")
+
+
 @dataclass
 class StageSpec:
     steps: int = 5000
@@ -48,12 +59,7 @@ class StageSpec:
     def validate(self, where, bad):
         if self.steps < 0:
             bad.append(f"{where}.steps must be >= 0, got {self.steps}")
-        if self.optimizer not in OPTIMIZERS:
-            bad.append(f"{where}.optimizer must be adam or adamax, got {self.optimizer!r}")
-        if self.weight_decay < 0:
-            bad.append(f"{where}.weight_decay must be >= 0")
-        if self.clip_norm < 0:
-            bad.append(f"{where}.clip_norm must be >= 0")
+        _check_optimizer(self, where, bad)
         if self.checkpoint_interval < 0:
             bad.append(f"{where}.checkpoint_interval must be >= 0")
         self.lr.validate(where, bad)
@@ -75,8 +81,7 @@ class Stage3Spec:
     def validate(self, where, bad):
         if self.sweeps < 0:
             bad.append(f"{where}.sweeps must be >= 0")
-        if self.optimizer not in OPTIMIZERS:
-            bad.append(f"{where}.optimizer must be adam or adamax")
+        _check_optimizer(self, where, bad)
         if not (self.lr_divisor > 0):
             bad.append(f"{where}.lr_divisor must be > 0")
         if self.max_tokens < 1 or self.bucket_width < 1:
@@ -212,8 +217,9 @@ def _scalar_ok(ann: str, val) -> bool:
         return isinstance(val, bool)
     if ann == "int":
         return isinstance(val, int) and not isinstance(val, bool)
-    if ann == "float":
-        return isinstance(val, (int, float)) and not isinstance(val, bool)
+    if ann == "float":  # finite: JSON reads NaN, which passes any `< 0` check
+        return (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and abs(val) <= sys.float_info.max)
     if ann == "str":
         return isinstance(val, str)
     if ann == "dict":
@@ -239,7 +245,8 @@ def _build(default, doc, where: str, bad: list):
         elif is_dataclass(getattr(default, key)):
             kwargs[key] = _build(getattr(default, key), val, path, bad)
         elif not _scalar_ok(known[key].type, val):
-            bad.append(f"{path} must be {known[key].type}, got {val!r}")
+            want = "a finite float" if known[key].type == "float" else known[key].type
+            bad.append(f"{path} must be {want}, got {val!r}")
         else:
             kwargs[key] = val
     return replace(default, **kwargs)

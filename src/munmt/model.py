@@ -102,46 +102,35 @@ class ModelParams:
     """The parameter store, and the only owner of the parameter layout.
 
     Every parameter lives in one contiguous buffer, `flat`, in the order of
-    `arrays`. `arrays[name]` are reshaped views into `flat` and
-    `tensors[name]` wrap those views, so an in-place write to `flat` (an
-    optimizer step, a restore) is seen through every name.
+    `arrays`, and its gradient at the same span of `grad`. `arrays[name]` are
+    reshaped views into `flat`, and `tensors[name]` wrap them with the
+    matching views of `grad`, so an in-place write to `flat` (an optimizer
+    step, a restore) is seen through every name, and `T.backward` leaves the
+    gradient laid out like `flat`. `np.zeros` maps pages only when written,
+    so a model that never trains pays nothing for `grad`.
     """
 
     def __init__(self, arrays: dict):
         arrays = {k: np.asarray(v) for k, v in arrays.items()}
         dtype = next(iter(arrays.values())).dtype if arrays else np.float32
-        self.flat = np.empty(sum(a.size for a in arrays.values()), dtype=dtype)
+        size = sum(a.size for a in arrays.values())
+        self.flat = np.empty(size, dtype=dtype)
+        self.grad = np.zeros(size, dtype=dtype)
         self.arrays = {}
-        self._spans = {}
+        self.tensors = {}
         pos = 0
         for k, a in arrays.items():
-            self._spans[k] = (pos, pos + a.size)
-            self.arrays[k] = self.flat[pos:pos + a.size].reshape(a.shape)
+            span = slice(pos, pos + a.size)
+            self.arrays[k] = self.flat[span].reshape(a.shape)
             self.arrays[k][...] = a
+            self.tensors[k] = T.parameter(self.arrays[k], k, self.grad[span].reshape(a.shape))
             pos += a.size
-        self.tensors = {k: T.Tensor(v, requires_grad=True, name=k)
-                        for k, v in self.arrays.items()}
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arrays)
-
-    def flat_grad(self, grads: dict) -> np.ndarray:
-        """A {name: grad} dict laid out like `flat`; missing names are zero."""
-        unknown = set(grads) - set(self.arrays)
-        if unknown:
-            raise ConfigError(f"gradient keys not in params: {sorted(unknown)}")
-        g = np.zeros_like(self.flat)
-        for name, a in grads.items():
-            a = np.asarray(a)
-            if a.shape != self.arrays[name].shape:
-                raise ConfigError(f"grad {name!r} has shape {a.shape}, "
-                                  f"expected {self.arrays[name].shape}")
-            start, end = self._spans[name]
-            g[start:end] = a.reshape(-1)
-        return g
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:

@@ -2,11 +2,11 @@
 
 The schedule reads a `config.LrSpec`; the Adam betas and epsilon are fixed.
 
-The optimizer is a pure function of (params, grads, state, lr, weight_decay):
-identical inputs give bit-identical outputs. The parameter layout belongs to
-`ModelParams`: the optimizer updates its flat buffer in place, and the moment
-buffers share that layout, so one step is a handful of vectorized passes
-instead of hundreds of small array ops.
+The optimizer is a pure function of (params, state, lr, weight_decay):
+identical inputs give bit-identical outputs. The layout belongs to
+`ModelParams`: the optimizer reads its gradient buffer, updates its flat
+buffer in place, and the moment buffers share that layout, so one step is a
+handful of vectorized passes instead of hundreds of small array ops.
 """
 
 from __future__ import annotations
@@ -64,16 +64,16 @@ class OptimState:
         return cls(kind=kind, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def optimizer_step(params: ModelParams, grads: dict, state: OptimState, lr: float,
+def optimizer_step(params: ModelParams, state: OptimState, lr: float,
                    weight_decay: float = 0.0, clip_norm: float | None = None) -> ModelParams:
-    """One update. Mutates `state` and writes the new values into `params.flat`.
+    """One update from `params.grad`, as `T.backward` left it. Mutates `state`
+    and writes the new values into `params.flat`; the gradient is only read.
 
-    `grads` maps a subset of the parameter names to same-shaped arrays;
-    missing names mean zero gradient. Weight decay is decoupled and scaled by
-    lr: p *= 1 - lr * weight_decay. Returns `params` for convenience.
+    Weight decay is decoupled and scaled by lr: p *= 1 - lr * weight_decay.
+    Returns `params` for convenience.
     """
     p = params.flat
-    g = params.flat_grad(grads)
+    g = params.grad
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
     if clip_norm is not None:

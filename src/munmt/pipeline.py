@@ -180,8 +180,8 @@ def _run_updates(ctx: RunContext, params: ModelParams, opt: OptimState, spec,
                 if not np.isfinite(val):
                     raise NumericError(f"non-finite loss at {label} step {t} "
                                        f"(dataset {ds_id}, {obj})")
-                grads = T.backward(loss, params.tensors)
-                optimizer_step(params, grads, opt, lr, weight_decay=spec.weight_decay,
+                T.backward(loss, params.tensors)
+                optimizer_step(params, opt, lr, weight_decay=spec.weight_decay,
                                clip_norm=spec.clip_norm or None)
                 logged = "%.10g" % val
             audit.write(f"{t}\t{ds_id}\t{obj}\t{src_l}\t{tgt_l}\t{logged}\n")

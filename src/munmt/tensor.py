@@ -2,7 +2,7 @@
 
 A Tensor wraps a numpy array. Operations on tensors record a DAG of
 primitive nodes; ``backward`` walks that DAG once in reverse topological
-order and returns exact gradients for a named set of leaf parameters.
+order and writes exact gradients into the buffers of named leaf parameters.
 Training runs in float32; gradient checks run the same code in float64.
 
 Values are expected to stay finite. Nothing here scans intermediates (that
@@ -35,7 +35,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "parents", "vjp", "name")
+    __slots__ = ("data", "requires_grad", "parents", "vjp", "name", "grad")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), vjp=None, name=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -43,6 +43,7 @@ class Tensor:
         self.parents = parents
         self.vjp = vjp
         self.name = name
+        self.grad = None  # a parameter's gradient buffer, shaped like data
 
     @property
     def shape(self):
@@ -60,8 +61,11 @@ def constant(data) -> Tensor:
     return Tensor(np.asarray(data))
 
 
-def parameter(data, name: str) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=True, name=name)
+def parameter(data, name: str, grad=None) -> Tensor:
+    """A leaf whose gradient `backward` writes into `grad`, or into its own buffer."""
+    t = Tensor(np.asarray(data), requires_grad=True, name=name)
+    t.grad = np.zeros_like(t.data) if grad is None else grad
+    return t
 
 
 def _make(data, parents, vjp) -> Tensor:
@@ -283,9 +287,10 @@ def _toposort(root: Tensor):
 
 
 def backward(loss: Tensor, params: dict) -> dict:
-    """Gradients of scalar `loss` for every tensor in `params` (name -> array).
+    """Gradients of scalar `loss` for every leaf in `params` (name -> array).
 
-    Parameters not on any path to the loss get zero gradients of their shape.
+    Each leaf's summed gradient, or zeros where no path reaches it, is copied
+    into its `grad` buffer, which is returned. Other leaves are not written.
     """
     if loss.data.ndim != 0:
         raise NumericError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -308,8 +313,6 @@ def backward(loss: Tensor, params: dict) -> dict:
                     grads[pid] = grads[pid] + pg
                 else:
                     grads[pid] = pg
-    out = {}
-    for name, p in params.items():
-        g = grads.get(id(p))
-        out[name] = g if g is not None else np.zeros_like(p.data)
-    return out
+    for p in params.values():
+        p.grad[...] = grads.get(id(p), 0)  # a copy, not +=: signed zeros survive
+    return {name: p.grad for name, p in params.items()}

@@ -40,6 +40,31 @@ def test_unreachable_param_gets_zeros():
     assert np.all(g["y"] == 0.0)
 
 
+def test_second_backward_replaces_the_first():
+    # x*y reaches both leaves, x*x only x: the second call must leave y at
+    # zero and x at exactly 2x, with nothing of the first call added on
+    x = T.parameter(randu(3), "x")
+    y = T.parameter(randu(3), "y")
+    T.backward(T.sum_all(T.mul(x, y)), {"x": x, "y": y})
+    assert np.all(y.grad != 0.0)
+    g = T.backward(T.sum_all(T.mul(x, x)), {"x": x, "y": y})
+    np.testing.assert_array_equal(g["x"], 2.0 * x.data)
+    assert np.all(g["y"] == 0.0)
+
+
+def test_loss_that_is_a_leaf_gets_gradient_one():
+    x = T.parameter(np.asarray(2.5), "x")
+    g = T.backward(x, {"x": x})
+    assert g["x"] == 1.0 and g["x"] is x.grad
+
+
+def test_negative_zero_gradient_keeps_its_sign():
+    # the total is copied into the buffer, not added onto zeros: 0.0 + -0.0 is 0.0
+    x = T.parameter(np.asarray(2.5), "x")
+    g = T.backward(T.mul(x, T.constant(-0.0)), {"x": x})
+    assert g["x"] == 0.0 and np.signbit(g["x"])
+
+
 def test_non_scalar_loss_rejected():
     x = T.parameter(randu(3), "x")
     with pytest.raises(NumericError):

@@ -10,7 +10,7 @@ import pytest
 from munmt import corpus, pipeline
 from munmt.checkpoint import load_checkpoint
 from munmt.cli import _single_aux_arm, main
-from munmt.config import from_dict
+from munmt.config import apply_overrides, from_dict
 
 CFG_DOC = {
     "seed": 11, "vocab_size": 200, "batch_size": 4,
@@ -206,6 +206,29 @@ def test_unknown_config_key_exits_2(tmp_path):
 def test_override_through_scalar_exits_2(tmp_path):
     assert main(["train-vocab", "--out", str(tmp_path / "o"),
                  "--override", "seed.deep=3"]) == 2
+
+
+def test_negative_stage3_clip_norm_exits_2(tmp_path, capsys):
+    assert main(["stage3", "--out", str(tmp_path / "o"), "--quiet",
+                 "--override", "stage3.clip_norm=-1"]) == 2
+    assert "stage3.clip_norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["override", "file"])
+@pytest.mark.parametrize("key, text", [("stage1.weight_decay", "NaN"),
+                                       ("stage1.lr.peak", "Infinity"),
+                                       ("stage1.clip_norm", "-Infinity")])
+def test_non_finite_config_float_exits_2(tmp_path, capsys, key, text, route):
+    if route == "override":
+        args = ["--override", f"{key}={text}"]
+    else:  # json.dumps writes the NaN / Infinity literals that json reads
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(apply_overrides({}, [f"{key}={text}"])))
+        assert text in cfg_path.read_text()
+        args = ["--config", str(cfg_path)]
+    assert main(["train-vocab", "--out", str(tmp_path / "o"), "--quiet"] + args) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
 
 
 def test_missing_manifest_exits_3(tmp_path):

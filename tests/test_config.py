@@ -75,6 +75,15 @@ def test_bad_schedule_rejected(lr, fragment):
         from_dict({"stage1": {"lr": lr}})
 
 
+@pytest.mark.parametrize("section", ["stage1", "stage3"])
+@pytest.mark.parametrize("key, val", [("clip_norm", -1.0), ("weight_decay", -0.5),
+                                      ("optimizer", "sgd")])
+def test_every_stage_checks_its_optimizer_settings(section, key, val):
+    with pytest.raises(ConfigError) as e:
+        from_dict({section: {key: val}})
+    assert f"{section}.{key}" in str(e.value)
+
+
 def test_pivot_validation():
     with pytest.raises(ConfigError):
         from_dict({"pivots": {}})

@@ -241,6 +241,38 @@ def decode_one(params, cfg, ids, tgt_lang, max_len):
                                tgt_lang, max_len)[0]
 
 
+def _sq_logits_loss(params, cfg):
+    src = np.asarray([[5, 6, 7]], dtype=np.int32)
+    dec = np.asarray([[BOS, 8, 9]], dtype=np.int32)
+    logits = forward_logits(params, cfg, src, dec, "xa")
+    return T.sum_all(T.mul(logits, logits))
+
+
+def test_backward_lays_the_gradient_out_like_the_parameters():
+    cfg = small_cfg()
+    params = init_params(cfg, seed=13, dtype=np.float64)
+    grads = T.backward(_sq_logits_loss(params, cfg), params.tensors)
+    assert list(grads) == list(params.arrays)
+    flat = np.concatenate([grads[k].reshape(-1) for k in params.arrays])
+    assert flat.tobytes() == params.grad.tobytes()
+    assert np.any(params.grad != 0.0)
+    for k, g in grads.items():
+        assert g.shape == params.arrays[k].shape
+        assert np.shares_memory(g, params.grad)
+
+
+def test_backward_leaves_parameters_outside_its_set_unwritten():
+    cfg = small_cfg()
+    params = init_params(cfg, seed=13, dtype=np.float64)
+    params.grad[...] = 7.0
+    only = {"tok_emb": params.tensors["tok_emb"]}
+    g = T.backward(_sq_logits_loss(params, cfg), only)["tok_emb"]
+    assert np.any(g != 7.0)
+    for k, t in params.tensors.items():
+        if k != "tok_emb":
+            assert np.all(t.grad == 7.0), k
+
+
 def test_greedy_decode_eos_rig_gives_empty_body():
     cfg = small_cfg()
     params = _rigged(cfg, EOS)

@@ -14,12 +14,21 @@ def _single(value=1.0):
     return params
 
 
+def _step(params, grads, state, **kw):
+    """One step from `grads` ({name: array}; a missing name is zero), written
+    into `params.grad` as backward would leave it."""
+    params.grad[...] = 0
+    for name, g in grads.items():
+        params.tensors[name].grad[...] = g
+    optimizer_step(params, state, **kw)
+
+
 def test_adam_first_step_hand_arithmetic():
     # independent longhand: m=0.1*g, v=0.001*g^2, mhat=m/0.1, vhat=v/0.001,
     # p -= lr * mhat / (sqrt(vhat) + eps)
     params = _single(1.0)
     state = OptimState.init(params, "adam")
-    optimizer_step(params, {"p": np.asarray([1.0])}, state, lr=0.1)
+    _step(params, {"p": np.asarray([1.0])}, state, lr=0.1)
     m = 0.1 * 1.0
     v = 0.001 * 1.0
     mhat = m / (1 - 0.9)
@@ -31,7 +40,7 @@ def test_adam_first_step_hand_arithmetic():
 def test_zero_grad_weight_decay_only():
     params = _single(1.0)
     state = OptimState.init(params, "adam")
-    optimizer_step(params, {}, state, lr=0.0002, weight_decay=0.2)
+    optimizer_step(params, state, lr=0.0002, weight_decay=0.2)
     assert params.arrays["p"][0] == pytest.approx(1.0 * (1.0 - 0.0002 * 0.2), rel=1e-15)
 
 
@@ -44,7 +53,7 @@ def test_adam_three_steps_simulation_oracle():
     state = OptimState.init(params, "adam")
     lr, wd = 0.01, 0.1
     for g in gs:
-        optimizer_step(params, {"w": g}, state, lr=lr, weight_decay=wd)
+        _step(params, {"w": g}, state, lr=lr, weight_decay=wd)
     # oracle simulation written independently
     p, m, v = p0.copy(), np.zeros(shape), np.zeros(shape)
     for t, g in enumerate(gs, start=1):
@@ -65,7 +74,7 @@ def test_adamax_simulation_oracle():
     state = OptimState.init(params, "adamax")
     lr = 0.02
     for g in gs:
-        optimizer_step(params, {"w": g}, state, lr=lr)
+        _step(params, {"w": g}, state, lr=lr)
     p, m, u = p0.copy(), np.zeros(shape), np.zeros(shape)
     for t, g in enumerate(gs, start=1):
         m = 0.9 * m + 0.1 * g
@@ -77,25 +86,16 @@ def test_adamax_simulation_oracle():
 def test_missing_grad_means_no_update_beyond_decay():
     params = ModelParams({"a": np.asarray([2.0]), "b": np.asarray([3.0])})
     state = OptimState.init(params, "adam")
-    optimizer_step(params, {"a": np.asarray([1.0])}, state, lr=0.1, weight_decay=0.0)
+    _step(params, {"a": np.asarray([1.0])}, state, lr=0.1, weight_decay=0.0)
     assert params.arrays["b"][0] == 3.0
     assert params.arrays["a"][0] != 2.0
-
-
-def test_bad_grad_keys_and_shapes_rejected():
-    params = _single()
-    state = OptimState.init(params, "adam")
-    with pytest.raises(ConfigError):
-        optimizer_step(params, {"nope": np.asarray([1.0])}, state, lr=0.1)
-    with pytest.raises(ConfigError):
-        optimizer_step(params, {"p": np.zeros((2, 2))}, state, lr=0.1)
 
 
 def test_step_updates_the_store_that_every_view_shares():
     params = ModelParams({"a": np.zeros((2, 3)), "b": np.ones(4)})
     state = OptimState.init(params, "adam")
     before = params.flat.copy()
-    optimizer_step(params, {"a": np.ones((2, 3)), "b": np.ones(4)}, state, lr=0.1)
+    _step(params, {"a": np.ones((2, 3)), "b": np.ones(4)}, state, lr=0.1)
     for k, t in params.tensors.items():
         assert np.shares_memory(t.data, params.flat)
         assert t.data is params.arrays[k]
@@ -118,7 +118,7 @@ def test_determinism_bitwise():
         params = ModelParams({"w": p0.copy()})
         state = OptimState.init(params, "adam")
         for _ in range(5):
-            optimizer_step(params, {"w": g}, state, lr=0.003, weight_decay=0.05)
+            _step(params, {"w": g}, state, lr=0.003, weight_decay=0.05)
         outs.append(params.arrays["w"].copy())
     assert outs[0].tobytes() == outs[1].tobytes()
 
@@ -127,10 +127,11 @@ def test_clip_norm_applied():
     params = ModelParams({"w": np.zeros(4)})
     state = OptimState.init(params, "adam")
     big = np.full(4, 100.0)
-    optimizer_step(params, {"w": big}, state, lr=0.1, clip_norm=1.0)
+    _step(params, {"w": big}, state, lr=0.1, clip_norm=1.0)
     # clipped grad has norm 1, every component 0.5; first adam step moves by
     # lr * sign-ish magnitude ~ lr regardless, so just check state saw clipping
     assert np.allclose(state.m, 0.1 * 0.5, rtol=1e-6)
+    np.testing.assert_array_equal(params.grad, big)  # clipping reads, never writes
 
 
 # --- learning-rate schedule ---
