@@ -158,28 +158,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 # forward pieces
 
 
-def _split_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    B, L, H = x.shape
-    x = T.reshape(x, (B, L, heads, H // heads))
-    return T.transpose(x, (0, 2, 1, 3))
-
-
-def _merge_heads(x: T.Tensor) -> T.Tensor:
-    B, h, L, dh = x.shape
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (B, L, h * dh))
-
-
-def _attention(q, k, v, heads: int, mask) -> T.Tensor:
-    """Scaled dot-product attention over projected (B, L, H) queries, keys
-    and values."""
-    q, k, v = (_split_heads(t, heads) for t in (q, k, v))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.shape[-1]))
-    if mask is not None:
-        scores = T.add(scores, T.constant(mask))
-    return _merge_heads(T.matmul(T.softmax(scores), v))
-
-
 def _kv(params, prefix: str, x: T.Tensor):
     """The keys and values that attention block `prefix` reads from x."""
     return T.matmul(x, params[f"{prefix}.wk"]), T.matmul(x, params[f"{prefix}.wv"])
@@ -231,7 +209,7 @@ def encode(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarray):
     for i in range(cfg.layers):
         p = f"enc.{i}"
         h = _ln(params, f"{p}.ln1", x)
-        a = _attention(T.matmul(h, params[f"{p}.attn.wq"]), *_kv(params, f"{p}.attn", h),
+        a = T.attention(T.matmul(h, params[f"{p}.attn.wq"]), *_kv(params, f"{p}.attn", h),
                        cfg.heads, mask)
         x = T.add(x, T.matmul(a, params[f"{p}.attn.wo"]))
         x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x)))
@@ -292,12 +270,12 @@ def _decoder_stack(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor | No
         k, v = _kv(params, f"{p}.self", h)
         if cache:
             k, v = cache.extend(i, k, v)
-        a = _attention(T.matmul(h, params[f"{p}.self.wq"]), k, v, cfg.heads, cmask)
+        a = T.attention(T.matmul(h, params[f"{p}.self.wq"]), k, v, cfg.heads, cmask)
         wo = T.embedding(params[f"{p}.self.wo_bank"], lang_idx)
         x = T.add(x, T.matmul(a, wo))
         h = _ln(params, f"{p}.ln2", x)
         k, v = map(T.constant, cache.cross_kv[i]) if cache else _kv(params, f"{p}.cross", enc_out)
-        a = _attention(T.matmul(h, params[f"{p}.cross.wq"]), k, v, cfg.heads, src_mask)
+        a = T.attention(T.matmul(h, params[f"{p}.cross.wq"]), k, v, cfg.heads, src_mask)
         wo = T.embedding(params[f"{p}.cross.wo_bank"], lang_idx)
         x = T.add(x, T.matmul(a, wo))
         x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", x)))

@@ -31,15 +31,10 @@ def _teacher_blocks(tgt_rows: list):
 def sequence_nll(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
     """Mean NLL over non-PAD target positions of a (B, L, V) logits tensor."""
     targets = np.asarray(targets)
-    mask = (targets != PAD)
-    count = int(mask.sum())
-    if count == 0:
+    mask = targets != PAD
+    if not mask.any():
         raise DataError("loss over a batch with no scoreable tokens")
-    logp = T.log_softmax(logits)
-    picked = T.take_along_last(logp, targets[..., None].astype(np.int64))
-    picked = T.reshape(picked, targets.shape)
-    maskc = T.constant(mask.astype(logits.dtype))
-    return T.scale(T.sum_all(T.mul(picked, maskc)), -1.0 / count)
+    return T.masked_mean_nll(logits, targets, mask)
 
 
 def cross_entropy_loss(params: ModelParams, cfg: ModelConfig, src, tgt,

@@ -11,7 +11,7 @@ handful of vectorized passes instead of hundreds of small array ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,16 +48,21 @@ def lr_at(lr: LrSpec, step: int) -> float:
 @dataclass
 class OptimState:
     """First/second-moment buffers laid out like `ModelParams.flat`, plus the
-    shared step counter."""
+    shared step counter. Two scratch buffers of the same layout hold a step's
+    temporaries, so a step allocates no parameter-sized array."""
 
     kind: str  # "adam" | "adamax"
     m: np.ndarray
     v: np.ndarray  # second moment (adam) or infinity norm (adamax)
     step: int = 0
+    scratch: tuple = field(init=False, repr=False, compare=False)
+    finite: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.finite = np.empty(self.m.shape, dtype=bool)
 
     @classmethod
     def init(cls, params: ModelParams, kind: str = "adam") -> "OptimState":
@@ -70,36 +75,53 @@ def optimizer_step(params: ModelParams, state: OptimState, lr: float,
     and writes the new values into `params.flat`; the gradient is only read.
 
     Weight decay is decoupled and scaled by lr: p *= 1 - lr * weight_decay.
-    Returns `params` for convenience.
+    `lr` is a Python float, so every pass stays in the parameters' dtype.
+    Each pass writes into `state`'s scratch buffers in the order of the
+    textbook expressions in the comments, so the result is bit-identical to
+    evaluating them. Returns `params` for convenience.
     """
     p = params.flat
     g = params.grad
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g, out=state.finite).all():
         raise NumericError("non-finite gradient")
+    s1, s2 = state.scratch
     if clip_norm is not None:
         norm = float(np.sqrt(np.sum(g.astype(np.float64) ** 2)))
         if norm > clip_norm:
-            g = g * np.asarray(clip_norm / norm, dtype=g.dtype)
+            g = np.multiply(g, np.asarray(clip_norm / norm, dtype=g.dtype), out=s2)
 
     state.step += 1
     t = state.step
     b1, b2, eps = BETA1, BETA2, EPS
+    bc1 = 1.0 - b1 ** t
 
     if weight_decay:
         p *= 1.0 - lr * weight_decay
 
+    # m = b1 * m + (1 - b1) * g
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += np.multiply(g, 1.0 - b1, out=s1)
     if state.kind == "adam":
+        # v = b2 * v + (1 - b2) * g * g;  p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         state.v *= b2
-        state.v += (1.0 - b2) * (g * g)
-        bc1 = 1.0 - b1 ** t
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        state.v += s1
         bc2 = 1.0 - b2 ** t
-        denom = np.sqrt(state.v / bc2) + eps
-        p -= lr * (state.m / bc1) / denom
+        np.divide(state.v, bc2, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += eps
+        np.divide(state.m, bc1, out=s2)
+        s2 *= lr
+        s2 /= s1
+        p -= s2
     else:  # adamax
-        np.maximum(b2 * state.v, np.abs(g), out=state.v)
-        bc1 = 1.0 - b1 ** t
-        p -= (lr / bc1) * state.m / (state.v + eps)
+        # v = max(b2 * v, |g|);  p -= (lr / bc1) * m / (v + eps)
+        np.multiply(state.v, b2, out=s1)
+        np.maximum(s1, np.abs(g, out=s2), out=state.v)
+        np.multiply(state.m, lr / bc1, out=s1)
+        np.add(state.v, eps, out=s2)
+        s1 /= s2
+        p -= s1
 
     return params

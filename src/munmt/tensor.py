@@ -12,6 +12,8 @@ it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -254,6 +256,78 @@ def take_along_last(a: Tensor, idx) -> Tensor:
         return (ga,)
 
     return _make(out, (a,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# fused nodes: one node for a chain of the primitives above, whose vjp repeats
+# that chain's operations in the same order, so values and gradients are
+# bit-identical to the chain's
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
+    """Scaled dot-product attention of (B, Lq, H) queries over (B, Lk, H) keys
+    and values, split into `heads` heads of H // heads.
+
+    `mask` is a constant additive array that broadcasts against the
+    (B, heads, Lq, Lk) scores, or None; no gradient is formed for it. The
+    node replaces split heads, scores, scale, mask, softmax, mix and merge.
+    """
+    B, Lq, H = q.data.shape
+    Lk = k.data.shape[1]
+    dh = H // heads
+    qh = q.data.reshape(B, Lq, heads, dh).transpose(0, 2, 1, 3)
+    kh = k.data.reshape(B, Lk, heads, dh).transpose(0, 2, 1, 3)
+    vh = v.data.reshape(B, Lk, heads, dh).transpose(0, 2, 1, 3)
+    s = 1.0 / math.sqrt(dh)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    p *= s
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)  # the attention weights
+    out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(B, Lq, H)
+
+    def vjp(g):
+        go = g.reshape(B, Lq, heads, dh).transpose(0, 2, 1, 3)
+        gv = np.matmul(p.swapaxes(-1, -2), go)
+        gs = np.matmul(go, vh.swapaxes(-1, -2))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= s
+        gq = np.matmul(gs, kh)
+        gk = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+        return tuple(t.transpose(0, 2, 1, 3).reshape(t.shape[0], t.shape[2], H)
+                     for t in (gq, gk, gv))
+
+    return _make(out, (q, k, v), vjp)
+
+
+def masked_mean_nll(logits: Tensor, targets, mask) -> Tensor:
+    """Mean negative log-likelihood of the int `targets` under (..., V)
+    `logits`, over the positions where the boolean `mask` holds (at least
+    one). Replaces log_softmax, take_along_last, reshape, mul by the mask,
+    sum_all and scale; the gradient is (onehot - softmax) * mask * -1/count.
+    """
+    idx = np.asarray(targets)[..., None].astype(np.int64)
+    maskc = np.asarray(mask).astype(logits.data.dtype)
+    s = -1.0 / int(np.count_nonzero(mask))
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, idx, axis=-1).reshape(maskc.shape)
+    out = (picked * maskc).sum() * s
+
+    def vjp(g):
+        # + 0.0 turns the -0.0 of masked positions into the +0.0 that a
+        # scatter-add into zeros leaves
+        coef = ((g * s) * maskc + 0.0)[..., None]
+        onehot = np.zeros_like(logp)
+        np.put_along_axis(onehot, idx, coef, axis=-1)
+        grad = np.exp(logp)
+        grad *= coef
+        return (np.subtract(onehot, grad, out=grad),)
+
+    return _make(out, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
