@@ -210,7 +210,7 @@ def encode(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarray):
         p = f"enc.{i}"
         h = _ln(params, f"{p}.ln1", x)
         a = T.attention(T.matmul(h, params[f"{p}.attn.wq"]), *_kv(params, f"{p}.attn", h),
-                       cfg.heads, mask)
+                        cfg.heads, mask)
         x = T.add(x, T.matmul(a, params[f"{p}.attn.wo"]))
         x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x)))
     return _ln(params, "enc.final_ln", x), mask

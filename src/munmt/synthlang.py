@@ -20,6 +20,7 @@ parallel data.
 
 from __future__ import annotations
 
+import numbers
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -253,6 +254,14 @@ def load_language_specs(path) -> dict:
 # benchmark construction
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
 @dataclass
 class TargetSpec:
     window: int = 2
@@ -276,6 +285,8 @@ class BenchmarkConfig:
     test_lines: int = 300
     noise_dropout: float = 0.0  # word dropout on mono training text only
 
+    LINE_COUNTS = ("mono_lines", "parallel_lines", "dev_lines", "test_lines")
+
     def normalized_targets(self) -> dict:
         out = {}
         for name, t in self.targets.items():
@@ -298,8 +309,17 @@ class BenchmarkConfig:
             bad.append("need at least one target language")
         if not self.auxiliaries:
             bad.append("need at least one auxiliary language")
+        # the section comes from an untrusted file or override, unchecked by
+        # config's field types, so types go first and ranges only where
+        # they hold
+        ints = ("seed", "vocab_types", "len_min", "len_max") + self.LINE_COUNTS
+        for key in ints:
+            if not _is_int(getattr(self, key)):
+                bad.append(f"{key} must be an int, got {getattr(self, key)!r}")
         for name, t in self.normalized_targets().items():
-            if t.window == 1 or t.window < 0:
+            if not _is_int(t.window):
+                bad.append(f"target {name}: window must be an int, got {t.window!r}")
+            elif t.window == 1 or t.window < 0:
                 bad.append(f"target {name}: window must be 0 or >= 2")
             for donor, frac in t.cognates.items():
                 if donor == self.base_name:
@@ -307,13 +327,15 @@ class BenchmarkConfig:
                                "would leak supervision")
                 elif donor not in self.auxiliaries:
                     bad.append(f"target {name}: unknown cognate donor {donor!r}")
-                if not (0.0 <= frac <= 1.0):
-                    bad.append(f"target {name}: cognate fraction {frac} out of range")
-            if sum(t.cognates.values()) > 1.0 + 1e-9:
+                if not (_is_real(frac) and 0.0 <= frac <= 1.0):
+                    bad.append(f"target {name}: cognate fraction {frac!r} out of range")
+            if (all(map(_is_real, t.cognates.values()))
+                    and sum(t.cognates.values()) > 1.0 + 1e-9):
                 bad.append(f"target {name}: cognate fractions exceed 1")
-        if not (0.0 <= self.noise_dropout < 1.0):
-            bad.append(f"noise_dropout must be in [0,1), got {self.noise_dropout}")
-        if min(self.mono_lines, self.parallel_lines, self.dev_lines, self.test_lines) < 1:
+        if not (_is_real(self.noise_dropout) and 0.0 <= self.noise_dropout < 1.0):
+            bad.append(f"noise_dropout must be a number in [0,1), got {self.noise_dropout!r}")
+        counts = [getattr(self, key) for key in self.LINE_COUNTS]
+        if all(map(_is_int, counts)) and min(counts) < 1:
             bad.append("all line counts must be >= 1")
         if bad:
             raise ConfigError(bad)

@@ -5,6 +5,17 @@ primitive nodes; ``backward`` walks that DAG once in reverse topological
 order and writes exact gradients into the buffers of named leaf parameters.
 Training runs in float32; gradient checks run the same code in float64.
 
+Besides the primitives there are two fused nodes, `attention` and
+`masked_mean_nll`. Each stands for a chain of primitives and its vjp repeats
+that chain's operations in the same order, so it is bit-identical to the
+chain, with far fewer nodes and temporaries. `matmul` by a 2-D right
+operand (a weight) folds the left operand's leading axes into rows: the
+forward, the input gradient and the weight gradient are one BLAS call each.
+That can sum in another order than one product per leading index (the
+weight gradient always does), so it is not bit-identical to the batched
+form; float32 gradients stay within a relative L2 of 1e-5 of a float64
+reference.
+
 Values are expected to stay finite. Nothing here scans intermediates (that
 would double step cost); the trainer checks each loss before backpropagating
 it.
@@ -137,7 +148,22 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with numpy matmul broadcasting rules."""
+    """Batched matrix product with numpy matmul broadcasting rules.
+
+    A 2-D right operand (a weight) folds the left operand's leading axes into
+    rows, so the forward, the input gradient and the weight gradient are one
+    2-D product each instead of one per leading index plus a sum.
+    """
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        return _make(out, (a, b), vjp)
+
     out = np.matmul(a.data, b.data)
 
     def vjp(g):
@@ -318,9 +344,7 @@ def masked_mean_nll(logits: Tensor, targets, mask) -> Tensor:
     out = (picked * maskc).sum() * s
 
     def vjp(g):
-        # + 0.0 turns the -0.0 of masked positions into the +0.0 that a
-        # scatter-add into zeros leaves
-        coef = ((g * s) * maskc + 0.0)[..., None]
+        coef = ((g * s) * maskc)[..., None]
         onehot = np.zeros_like(logp)
         np.put_along_axis(onehot, idx, coef, axis=-1)
         grad = np.exp(logp)

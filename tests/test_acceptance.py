@@ -24,7 +24,7 @@ from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
                           Stage3Spec, StageSpec, SyntheticSpec)
 from munmt.corpus import Dataset, SamplingPolicy, choose_dataset
 from munmt.evaluation import bleu, tokenize_13a
-from munmt.model import ModelConfig, init_params
+from munmt.model import NEG, ModelConfig, init_params
 from munmt.objectives import (MaskSpec, back_translation_loss,
                               cross_entropy_loss, cross_translation_loss,
                               draw_mask_spec, mass_loss_for_spec)
@@ -162,6 +162,42 @@ def _case_take_along_last(rng):
     c = T.constant(_u(rng, 2, 4, 3))
     leaves = {"a": _u(rng, 2, 4, 6)}
     return lambda t: T.sum_all(T.mul(T.take_along_last(t["a"], idx), c)), leaves
+
+
+def _attention_case(rng, lq, lk, mask):
+    c = T.constant(_u(rng, 2, lq, 4))
+    leaves = {"q": _u(rng, 2, lq, 4), "k": _u(rng, 2, lk, 4), "v": _u(rng, 2, lk, 4)}
+    return (lambda t: T.sum_all(T.mul(T.attention(t["q"], t["k"], t["v"], 2, mask), c)),
+            leaves)
+
+
+@prim
+def _case_attention_key_padding(rng):
+    keep = rng.random((2, 5)) < 0.7
+    keep[:, 0] = True  # every row keeps a key
+    return _attention_case(rng, 3, 5, np.where(keep, 0.0, NEG)[:, None, None, :])
+
+
+@prim
+def _case_attention_causal(rng):
+    # the last 3 of 5 positions query all 5, each seeing only itself and earlier
+    mask = np.triu(np.full((3, 5), NEG), k=3)[None, None]
+    return _attention_case(rng, 3, 5, mask)
+
+
+@prim
+def _case_attention_unmasked(rng):
+    return _attention_case(rng, 4, 2, None)
+
+
+@prim
+def _case_masked_mean_nll(rng):
+    targets = rng.integers(1, 6, size=(3, 4))
+    targets[0, 2:] = tok.PAD
+    targets[2, 3] = tok.PAD
+    mask = targets != tok.PAD
+    leaves = {"a": _u(rng, 3, 4, 6)}
+    return lambda t: T.scale(T.masked_mean_nll(t["a"], targets, mask), 1.7), leaves
 
 
 def _loss_cfg():

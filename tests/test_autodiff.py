@@ -1,5 +1,7 @@
 """Reverse-mode autodiff against finite differences and hand arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,93 @@ def test_gradient_accumulation_on_shared_input():
     loss = T.add(T.mul(x, x), T.scale(x, 3.0))
     g = T.backward(loss, {"x": x})
     assert g["x"] == pytest.approx(8.0, abs=1e-12)
+
+
+# --- fused nodes against the chains of primitives they replace ------------
+# The chains are written out here as the model and the loss built them
+# before the fusion. In float32 the fused forward and every input gradient
+# must equal the chain's byte for byte, not just closely.
+
+NEG = -1e9
+
+
+def _chained_attention(q, k, v, heads, mask):
+    def split(x):
+        B, L, H = x.shape
+        return T.transpose(T.reshape(x, (B, L, heads, H // heads)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = T.add(scores, T.constant(mask))
+    out = T.transpose(T.matmul(T.softmax(scores), v), (0, 2, 1, 3))
+    B, L, h, dh = out.shape
+    return T.reshape(out, (B, L, h * dh))
+
+
+def _chained_nll(logits, targets, mask):
+    picked = T.take_along_last(T.log_softmax(logits), targets[..., None].astype(np.int64))
+    picked = T.reshape(picked, targets.shape)
+    masked = T.mul(picked, T.constant(mask.astype(logits.dtype)))
+    return T.scale(T.sum_all(masked), -1.0 / int(mask.sum()))
+
+
+def _f32(*shape):
+    return randu(*shape).astype(np.float32)
+
+
+def _outputs_and_grads(build, leaves):
+    tensors = {k: T.parameter(v.copy(), k) for k, v in leaves.items()}
+    out = build(tensors)
+    loss = T.sum_all(T.mul(out, T.constant(np.linspace(-1, 1, out.data.size, dtype=np.float32)
+                                           .reshape(out.shape)))) if out.data.ndim else out
+    grads = T.backward(loss, tensors)
+    return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+
+def _key_padding(B, Lk):
+    keep = RNG.random((B, Lk)) < 0.6
+    keep[:, 0] = True
+    return np.where(keep, 0.0, NEG).astype(np.float32)[:, None, None, :]
+
+
+@pytest.mark.parametrize("lq, lk, mask, H, heads", [
+    (5, 7, "padding", 12, 4), (6, 6, "causal", 10, 2), (4, 9, None, 12, 4),
+    (1, 8, "padding", 10, 2),
+])
+def test_fused_attention_is_bit_identical_to_the_chain(lq, lk, mask, H, heads):
+    # head sizes of 3 and 5, so the 1/sqrt(dh) scaling rounds
+    B = 3
+    if mask == "padding":
+        mask = _key_padding(B, lk)
+    elif mask == "causal":
+        mask = np.triu(np.full((lq, lk), NEG, dtype=np.float32), k=1)[None, None]
+    leaves = {"q": _f32(B, lq, H), "k": _f32(B, lk, H), "v": _f32(B, lk, H)}
+    fused = _outputs_and_grads(
+        lambda t: T.attention(t["q"], t["k"], t["v"], heads, mask), leaves)
+    chain = _outputs_and_grads(
+        lambda t: _chained_attention(t["q"], t["k"], t["v"], heads, mask), leaves)
+    assert fused == chain
+
+
+@pytest.mark.parametrize("upstream", [1.0, -0.3])
+def test_fused_nll_is_bit_identical_to_the_chain(upstream):
+    targets = RNG.integers(1, 11, size=(4, 6))
+    targets[0, 3:] = 0  # PAD
+    targets[2, :] = 0  # a row with nothing to score
+    mask = targets != 0
+    leaves = {"logits": _f32(4, 6, 11) * 3}
+    fused = _outputs_and_grads(
+        lambda t: T.scale(T.masked_mean_nll(t["logits"], targets, mask), upstream), leaves)
+    chain = _outputs_and_grads(
+        lambda t: T.scale(_chained_nll(t["logits"], targets, mask), upstream), leaves)
+    assert fused == chain
+
+
+def test_fused_nodes_form_no_mask_gradient():
+    # the mask is closed over, not a parent: nothing is summed down for it
+    q = T.parameter(_f32(2, 3, 4), "q")
+    out = T.attention(q, q, q, 2, _key_padding(2, 3))
+    assert out.parents == (q, q, q)
+    nll = T.masked_mean_nll(q, np.ones((2, 3), dtype=np.int64), np.ones((2, 3), bool))
+    assert nll.parents == (q,)

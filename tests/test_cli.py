@@ -166,6 +166,20 @@ def test_seed_flag_lands_in_the_resolved_config(chain, tmp_path):
     assert doc["seed"] == 99
 
 
+@pytest.mark.parametrize("val", ["100.5", "1e300"])
+def test_fractional_benchmark_line_count_exits_2(tmp_path, capsys, val):
+    # a float line count used to be rounded up by the generator and recorded
+    # as given
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CFG_DOC))
+    out = tmp_path / "frac"
+    code = main(["synth-data", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                 "--override", f"benchmark.mono_lines={val}"])
+    assert code == 2
+    assert "mono_lines must be an int" in capsys.readouterr().err
+    assert not (out / "benchmark").exists()
+
+
 def test_vocab_digest_mismatch_is_a_data_error(chain, tmp_path, capsys):
     root, cfg_path, out, _, _ = chain
     code = main(["evaluate", "--config", str(cfg_path), "--out", str(out),

@@ -101,6 +101,29 @@ def test_benchmark_section_checked():
         from_dict({"benchmark": {"no_such_knob": 1}})
 
 
+@pytest.mark.parametrize("key, val", [
+    ("mono_lines", 100.5), ("mono_lines", 1e300), ("parallel_lines", True),
+    ("dev_lines", "150"), ("test_lines", None), ("seed", 1.0),
+    ("vocab_types", 50.0), ("len_min", False), ("len_max", 9.5),
+    ("noise_dropout", True), ("noise_dropout", "0.1"),
+])
+def test_benchmark_section_types_checked(key, val):
+    # the benchmark section is a plain dict that config's field types never
+    # see, so its own validate must refuse a float count or a bool
+    with pytest.raises(ConfigError, match=key):
+        from_dict({"benchmark": {key: val}})
+
+
+@pytest.mark.parametrize("targets", [
+    {"xa": {"window": 2, "cognates": {"aa": "0.4"}}},
+    {"xa": {"window": 2, "cognates": {"aa": True}}},
+    {"xa": {"window": 2.5, "cognates": {"aa": 0.4}}},
+])
+def test_benchmark_target_types_checked(targets):
+    with pytest.raises(ConfigError, match="target xa"):
+        from_dict({"benchmark": {"targets": targets}})
+
+
 @pytest.mark.parametrize("doc", [
     # lines of up to 20 * 5 pieces fit 200 pieces and 256 positions
     {"max_pieces": 200, "model": {"max_positions": 256}, "benchmark": {"len_max": 20}},

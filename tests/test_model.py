@@ -7,9 +7,11 @@ import pytest
 
 from munmt import tensor as T
 from munmt.errors import ConfigError, DataError
+from munmt.objectives import cross_entropy_loss
 from munmt.model import (
     DecoderCache,
     ModelConfig,
+    ModelParams,
     _decoder_stack,
     count_params,
     decode_logits,
@@ -259,6 +261,67 @@ def test_backward_lays_the_gradient_out_like_the_parameters():
     for k, g in grads.items():
         assert g.shape == params.arrays[k].shape
         assert np.shares_memory(g, params.grad)
+
+
+def _graph_nodes(loss):
+    """Nodes reachable from `loss` through grad-requiring parents: the set
+    backward walks, leaves included."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires_grad and id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+# teacher-forced `ce` at the small geometry (2 layers, 6 attention blocks);
+# the unfused attention and loss chains built 239 nodes
+CE_NODES_MAX = 156
+
+
+def test_teacher_forced_loss_graph_stays_fused(monkeypatch):
+    cfg = small_cfg()
+    params = init_params(cfg, seed=13)
+    blocks = []
+    real = T.attention
+
+    def recorded(q, k, v, heads, mask=None):
+        blocks.append(real(q, k, v, heads, mask))
+        return blocks[-1]
+
+    monkeypatch.setattr(T, "attention", recorded)
+    src = [np.asarray([5, 6, 7]), np.asarray([8, 9])]
+    tgt = [np.asarray([10, 11]), np.asarray([12, 13, 14])]
+    nodes = _graph_nodes(cross_entropy_loss(params, cfg, src, tgt, "xa"))
+    assert len(nodes) <= CE_NODES_MAX
+    assert len(blocks) == 3 * cfg.layers
+    # each block is one node, whose parents are the q/k/v projections
+    ids = {id(n) for n in nodes}
+    for out in blocks:
+        assert id(out) in ids
+        for proj in out.parents:
+            x, w = proj.parents
+            assert w.name.rsplit(".", 1)[-1] in ("wq", "wk", "wv"), w.name
+
+
+def test_float32_gradient_within_tolerance_of_float64():
+    # toy geometry, a `ce2` batch (both directions of a parallel pair): the
+    # row-folded products sum in another order than per-row ones, which is
+    # allowed only within this relative L2 of a float64 reference
+    cfg = ModelConfig(languages=LANGS, vocab_size=240, layers=2, hidden=64, ffn=256,
+                      heads=4, max_positions=64)
+    p32 = init_params(cfg, seed=21)
+    p64 = ModelParams({k: v.astype(np.float64) for k, v in p32.arrays.items()})
+    rng = np.random.default_rng(4)
+    rows = [rng.integers(5, 240, size=rng.integers(4, 20)) for _ in range(16)]
+    src, tgt = rows[:8], rows[8:]
+    for params in (p32, p64):
+        loss = T.add(cross_entropy_loss(params, cfg, src, tgt, "xa"),
+                     cross_entropy_loss(params, cfg, tgt, src, "en"))
+        T.backward(loss, params.tensors)
+    rel = np.linalg.norm(p32.grad - p64.grad) / np.linalg.norm(p64.grad)
+    assert rel <= 1e-5, rel
 
 
 def test_backward_leaves_parameters_outside_its_set_unwritten():

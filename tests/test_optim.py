@@ -134,6 +134,53 @@ def test_clip_norm_applied():
     np.testing.assert_array_equal(params.grad, big)  # clipping reads, never writes
 
 
+def _allocating_step(p, g, m, v, t, kind, lr, weight_decay, clip_norm):
+    """The textbook update, one temporary array per operation: the step
+    evaluates these same expressions into scratch buffers."""
+    if clip_norm is not None:
+        norm = float(np.sqrt(np.sum(g.astype(np.float64) ** 2)))
+        if norm > clip_norm:
+            g = g * np.asarray(clip_norm / norm, dtype=g.dtype)
+    if weight_decay:
+        p *= 1.0 - lr * weight_decay
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    bc1 = 1.0 - 0.9 ** t
+    if kind == "adam":
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        denom = np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8
+        p -= lr * (m / bc1) / denom
+    else:
+        np.maximum(0.999 * v, np.abs(g), out=v)
+        p -= (lr / bc1) * m / (v + 1e-8)
+
+
+@pytest.mark.parametrize("kind", ["adam", "adamax"])
+@pytest.mark.parametrize("clip_norm", [None, 30.0])
+def test_scratch_step_is_bit_identical_to_the_allocating_formula(kind, clip_norm):
+    # 50 float32 steps with a varying lr and weight decay; gradient norms
+    # spread around the clip norm, so clipped and unclipped steps both occur
+    rng = np.random.default_rng(29)
+    n = 1000
+    p0 = rng.normal(size=n).astype(np.float32)
+    params = ModelParams({"a": p0[:600].reshape(20, 30), "b": p0[600:]})
+    state = OptimState.init(params, kind)
+    p, m, v = p0.copy(), np.zeros(n, np.float32), np.zeros(n, np.float32)
+    clipped = 0
+    for t in range(1, 51):
+        g = (rng.normal(size=n) * rng.uniform(0.2, 2.0)).astype(np.float32)
+        lr = 1e-3 * t / 50 + 1e-4
+        params.grad[...] = g
+        optimizer_step(params, state, lr=lr, weight_decay=0.01, clip_norm=clip_norm)
+        _allocating_step(p, g, m, v, t, kind, lr, 0.01, clip_norm)
+        clipped += clip_norm is not None and np.linalg.norm(g) > clip_norm
+        assert params.flat.tobytes() == p.tobytes(), t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
+        np.testing.assert_array_equal(params.grad, g)  # the gradient is only read
+    assert clip_norm is None or 0 < clipped < 50
+
+
 # --- learning-rate schedule ---
 
 
