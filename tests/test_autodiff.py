@@ -220,9 +220,9 @@ def test_gradient_accumulation_on_shared_input():
 
 
 # --- fused nodes against the chains of primitives they replace ------------
-# The chains are written out here as the model and the loss built them
-# before the fusion. In float32 the fused forward and every input gradient
-# must equal the chain's byte for byte, not just closely.
+# Each chain is the composition of primitives that a fused node stands for.
+# In float32 the fused forward and every input gradient must equal the
+# chain's byte for byte, not just closely.
 
 NEG = -1e9
 
@@ -253,10 +253,14 @@ def _f32(*shape):
 
 
 def _outputs_and_grads(build, leaves):
+    """Bytes of build's output and of each leaf's gradient; a non-scalar
+    output is reduced against fixed weights first."""
     tensors = {k: T.parameter(v.copy(), k) for k, v in leaves.items()}
     out = build(tensors)
-    loss = T.sum_all(T.mul(out, T.constant(np.linspace(-1, 1, out.data.size, dtype=np.float32)
-                                           .reshape(out.shape)))) if out.data.ndim else out
+    loss = out
+    if out.data.ndim:
+        weights = np.linspace(-1, 1, out.data.size, dtype=np.float32).reshape(out.shape)
+        loss = T.sum_all(T.mul(out, T.constant(weights)))
     grads = T.backward(loss, tensors)
     return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}
 
