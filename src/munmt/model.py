@@ -9,6 +9,7 @@ else is shared.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -158,22 +159,34 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 # forward pieces
 
 
-def _kv(params, prefix: str, x: T.Tensor):
-    """The keys and values that attention block `prefix` reads from x."""
-    return T.matmul(x, params[f"{prefix}.wk"]), T.matmul(x, params[f"{prefix}.wv"])
-
-
-def _ffn(params, prefix: str, x: T.Tensor) -> T.Tensor:
-    h = T.relu(T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return T.add(T.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+def _ln_pair(params, prefix: str):
+    return params[f"{prefix}.g"], params[f"{prefix}.b"]
 
 
 def _ln(params, prefix: str, x: T.Tensor) -> T.Tensor:
-    return T.layernorm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
+    return T.layernorm(x, *_ln_pair(params, prefix))
 
 
-def _embed(params, cfg: ModelConfig, ids: np.ndarray, lang: str | None, offset: int = 0):
-    """Embeds ids as positions offset .. offset+L-1."""
+def _attn(params, ln: str, prefix: str, wo: str, x: T.Tensor, heads: int, mask, **kw):
+    w = tuple(params[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", wo))
+    return T.attention_sublayer(x, _ln_pair(params, ln), w, heads, mask, **kw)
+
+
+def _ffn(params, ln: str, prefix: str, x: T.Tensor) -> T.Tensor:
+    return T.ffn_sublayer(x, _ln_pair(params, ln),
+                          *(params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
+
+
+def _lang_rows(cfg: ModelConfig, lang) -> tuple:
+    """The language row of each row group. `lang` is one language, or a
+    tuple of languages under the row-group rule: the batch rows split into
+    that many equal consecutive groups, and group j is in language j."""
+    return tuple(cfg.lang_index(n) for n in ((lang,) if isinstance(lang, str) else lang))
+
+
+def _embed(params, cfg: ModelConfig, ids: np.ndarray, rows: tuple | None, offset: int = 0):
+    """Embeds ids as positions offset .. offset+L-1, plus the language
+    embedding of each row's group when `rows` (see `_lang_rows`) is given."""
     B, L = ids.shape
     if offset + L > cfg.max_positions:
         raise DataError(f"sequence length {offset + L} exceeds max_positions {cfg.max_positions}")
@@ -181,8 +194,11 @@ def _embed(params, cfg: ModelConfig, ids: np.ndarray, lang: str | None, offset: 
         raise DataError("token id out of range for the model vocabulary")
     x = T.scale(T.embedding(params["tok_emb"], ids), math.sqrt(cfg.hidden))
     x = T.add(x, T.embedding(params["pos_emb"], np.arange(offset, offset + L)))
-    if lang is not None:
-        x = T.add(x, T.embedding(params["lang_emb"], cfg.lang_index(lang)))
+    if rows is not None:
+        if B % len(rows):
+            raise DataError(f"{B} rows do not split into {len(rows)} language groups")
+        idx = rows[0] if len(rows) == 1 else np.repeat(rows, B // len(rows))[:, None]
+        x = T.add(x, T.embedding(params["lang_emb"], idx))
     return x
 
 
@@ -205,14 +221,11 @@ def encode(params: ModelParams, cfg: ModelConfig, src_ids: np.ndarray):
     src_ids = np.asarray(src_ids)
     dtype = params.arrays["tok_emb"].dtype
     mask = src_key_mask(src_ids, dtype)
-    x = _embed(params, cfg, src_ids, lang=None)
+    x = _embed(params, cfg, src_ids, None)
     for i in range(cfg.layers):
         p = f"enc.{i}"
-        h = _ln(params, f"{p}.ln1", x)
-        a = T.attention(T.matmul(h, params[f"{p}.attn.wq"]), *_kv(params, f"{p}.attn", h),
-                        cfg.heads, mask)
-        x = T.add(x, T.matmul(a, params[f"{p}.attn.wo"]))
-        x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x)))
+        x = _attn(params, f"{p}.ln1", f"{p}.attn", "wo", x, cfg.heads, mask)
+        x = _ffn(params, f"{p}.ln2", f"{p}.ffn", x)
     return _ln(params, "enc.final_ln", x), mask
 
 
@@ -227,23 +240,25 @@ class DecoderCache:
 
     def __init__(self, params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor,
                  max_len: int):
-        self.cross_kv = np.stack([[t.data for t in _kv(params, f"dec.{i}.cross", enc_out)]
-                                  for i in range(cfg.layers)])
+        enc = enc_out.data.reshape(-1, cfg.hidden)  # rows folded, as the sublayer node does
+        self.cross_kv = np.stack([[enc @ params.arrays[f"dec.{i}.cross.{w}"] for w in ("wk", "wv")]
+                                  for i in range(cfg.layers)]).reshape(
+            cfg.layers, 2, *enc_out.shape)
         self.self_kv = np.empty((cfg.layers, 2, enc_out.shape[0], max_len, cfg.hidden),
                                 dtype=enc_out.dtype)
         self.length = 0  # positions fed so far
 
-    def extend(self, layer: int, k: T.Tensor, v: T.Tensor):
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray):
         """Writes the newest positions' self-attention keys and values after
         layer `layer`'s cached ones and returns all of them. The last
         layer's call completes the step."""
         t, n = self.length, k.shape[1]
         kv = self.self_kv[layer]
-        kv[0, :, t:t + n] = k.data
-        kv[1, :, t:t + n] = v.data
+        kv[0, :, t:t + n] = k
+        kv[1, :, t:t + n] = v
         if layer == len(self.self_kv) - 1:
             self.length += n
-        return T.constant(kv[0, :, :t + n]), T.constant(kv[1, :, :t + n])
+        return kv[0, :, :t + n], kv[1, :, :t + n]
 
     def keep(self, rows: np.ndarray) -> None:
         """Drops every batch row that the index or mask `rows` leaves out."""
@@ -252,9 +267,10 @@ class DecoderCache:
 
 
 def _decoder_stack(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor | None,
-                   src_mask: np.ndarray, dec_x: T.Tensor, lang_idx: int,
+                   src_mask: np.ndarray, dec_x: T.Tensor, rows: tuple,
                    cache: DecoderCache | None = None) -> T.Tensor:
-    """Decoder body from embedded inputs to final hidden states.
+    """Decoder body from embedded inputs to final hidden states, with the
+    bank rows `rows` of `_lang_rows`.
 
     Without a cache `dec_x` holds whole prefixes, which attend causally.
     With one it holds the next positions: their self-attention keys and
@@ -266,34 +282,28 @@ def _decoder_stack(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor | No
     x = dec_x
     for i in range(cfg.layers):
         p = f"dec.{i}"
-        h = _ln(params, f"{p}.ln1", x)
-        k, v = _kv(params, f"{p}.self", h)
-        if cache:
-            k, v = cache.extend(i, k, v)
-        a = T.attention(T.matmul(h, params[f"{p}.self.wq"]), k, v, cfg.heads, cmask)
-        wo = T.embedding(params[f"{p}.self.wo_bank"], lang_idx)
-        x = T.add(x, T.matmul(a, wo))
-        h = _ln(params, f"{p}.ln2", x)
-        k, v = map(T.constant, cache.cross_kv[i]) if cache else _kv(params, f"{p}.cross", enc_out)
-        a = T.attention(T.matmul(h, params[f"{p}.cross.wq"]), k, v, cfg.heads, src_mask)
-        wo = T.embedding(params[f"{p}.cross.wo_bank"], lang_idx)
-        x = T.add(x, T.matmul(a, wo))
-        x = T.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", x)))
+        x = _attn(params, f"{p}.ln1", f"{p}.self", "wo_bank", x, cfg.heads, cmask,
+                  bank_rows=rows, kv=cache and functools.partial(cache.extend, i))
+        x = _attn(params, f"{p}.ln2", f"{p}.cross", "wo_bank", x, cfg.heads, src_mask,
+                  bank_rows=rows, memory=None if cache else enc_out,
+                  kv=cache and tuple(cache.cross_kv[i]))
+        x = _ffn(params, f"{p}.ln3", f"{p}.ffn", x)
     return _ln(params, "dec.final_ln", x)
 
 
 def decode_logits(params: ModelParams, cfg: ModelConfig, enc_out: T.Tensor | None,
-                  src_mask: np.ndarray, dec_ids: np.ndarray, tgt_lang: str,
+                  src_mask: np.ndarray, dec_ids: np.ndarray, tgt_lang,
                   cache: DecoderCache | None = None) -> T.Tensor:
     """Decoder logits (B, Lt, V); output projection tied to tok_emb.
 
-    Teacher-forced without a cache. With one, `dec_ids` are the positions
-    that follow the cached ones; see `_decoder_stack`.
+    `tgt_lang` is a language, or a tuple of them under the row-group rule
+    (see `_lang_rows`). Teacher-forced without a cache. With one, `dec_ids`
+    are the positions that follow the cached ones; see `_decoder_stack`.
     """
     dec_ids = np.asarray(dec_ids)
-    lang_idx = cfg.lang_index(tgt_lang)
-    x = _embed(params, cfg, dec_ids, lang=tgt_lang, offset=cache.length if cache else 0)
-    h = _decoder_stack(params, cfg, enc_out, src_mask, x, lang_idx, cache)
+    rows = _lang_rows(cfg, tgt_lang)
+    x = _embed(params, cfg, dec_ids, rows, offset=cache.length if cache else 0)
+    h = _decoder_stack(params, cfg, enc_out, src_mask, x, rows, cache)
     return T.matmul(h, T.transpose(params["tok_emb"], (1, 0)))
 
 

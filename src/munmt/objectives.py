@@ -28,28 +28,35 @@ def _teacher_blocks(tgt_rows: list):
     return pad_block(dec_in), pad_block(target)
 
 
-def sequence_nll(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
-    """Mean NLL over non-PAD target positions of a (B, L, V) logits tensor."""
+def sequence_nll(logits: T.Tensor, targets: np.ndarray, groups: int = 1) -> T.Tensor:
+    """Mean NLL over non-PAD target positions of a (B, L, V) logits tensor;
+    with `groups`, the sum of each row group's own mean."""
     targets = np.asarray(targets)
     mask = targets != PAD
-    if not mask.any():
+    if not mask.reshape(groups, -1).any(axis=1).all():
         raise DataError("loss over a batch with no scoreable tokens")
-    return T.masked_mean_nll(logits, targets, mask)
+    return T.masked_mean_nll(logits, targets, mask, groups)
 
 
 def cross_entropy_loss(params: ModelParams, cfg: ModelConfig, src, tgt,
-                       tgt_lang: str) -> T.Tensor:
+                       tgt_lang: str, reverse_lang: str | None = None) -> T.Tensor:
     """Teacher-forced translation loss src -> tgt in language tgt_lang.
 
     `src`/`tgt` are sequences of unpadded id rows (no BOS/EOS; those are
-    added here), padded once, here."""
+    added here), padded once, here. With `reverse_lang`, the loss of
+    tgt -> src in that language is added, from one forward of 2B rows: the
+    encoder reads the sources followed by the targets, and each half of the
+    decoder rows is in its own language (the model's row-group rule)."""
     if len(src) != len(tgt):
         raise DataError("source and target batches differ in size")
     if any(len(r) == 0 for r in src) or any(len(r) == 0 for r in tgt):
         raise DataError("empty sentence in a loss batch")
+    langs = tgt_lang
+    if reverse_lang is not None:
+        src, tgt, langs = [*src, *tgt], [*tgt, *src], (tgt_lang, reverse_lang)
     dec_in, target = _teacher_blocks(tgt)
-    logits = forward_logits(params, cfg, pad_block(src), dec_in, tgt_lang)
-    return sequence_nll(logits, target)
+    logits = forward_logits(params, cfg, pad_block(src), dec_in, langs)
+    return sequence_nll(logits, target, 1 if reverse_lang is None else 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .model import ModelParams
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+BLOCK = 1 << 16  # elements per pass of a step: a block's six buffers fit in L2
 
 
 def lr_at(lr: LrSpec, step: int) -> float:
@@ -48,7 +49,7 @@ def lr_at(lr: LrSpec, step: int) -> float:
 @dataclass
 class OptimState:
     """First/second-moment buffers laid out like `ModelParams.flat`, plus the
-    shared step counter. Two scratch buffers of the same layout hold a step's
+    shared step counter. Two scratch buffers of one block each hold a step's
     temporaries, so a step allocates no parameter-sized array."""
 
     kind: str  # "adam" | "adamax"
@@ -61,7 +62,8 @@ class OptimState:
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        n = min(self.m.size, BLOCK)
+        self.scratch = (np.empty(n, self.m.dtype), np.empty(n, self.m.dtype))
         self.finite = np.empty(self.m.shape, dtype=bool)
 
     @classmethod
@@ -76,52 +78,58 @@ def optimizer_step(params: ModelParams, state: OptimState, lr: float,
 
     Weight decay is decoupled and scaled by lr: p *= 1 - lr * weight_decay.
     `lr` is a Python float, so every pass stays in the parameters' dtype.
-    Each pass writes into `state`'s scratch buffers in the order of the
-    textbook expressions in the comments, so the result is bit-identical to
-    evaluating them. Returns `params` for convenience.
+    The whole gradient is checked to be finite before anything is written.
+    Then the passes run block by block, BLOCK elements at a time, so one
+    block's buffers stay in cache; each writes into `state`'s scratch
+    buffers in the order of the textbook expressions in the comments, so the
+    result is bit-identical to evaluating them. Returns `params`.
     """
-    p = params.flat
-    g = params.grad
-    if not np.isfinite(g, out=state.finite).all():
+    if not np.isfinite(params.grad, out=state.finite).all():
         raise NumericError("non-finite gradient")
-    s1, s2 = state.scratch
+    clip = None
     if clip_norm is not None:
-        norm = float(np.sqrt(np.sum(g.astype(np.float64) ** 2)))
+        norm = float(np.sqrt(np.sum(params.grad.astype(np.float64) ** 2)))
         if norm > clip_norm:
-            g = np.multiply(g, np.asarray(clip_norm / norm, dtype=g.dtype), out=s2)
+            clip = np.asarray(clip_norm / norm, dtype=params.grad.dtype)
 
     state.step += 1
     t = state.step
     b1, b2, eps = BETA1, BETA2, EPS
     bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
 
-    if weight_decay:
-        p *= 1.0 - lr * weight_decay
+    for lo in range(0, params.flat.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        p, g, m, v = params.flat[blk], params.grad[blk], state.m[blk], state.v[blk]
+        s1, s2 = (s[:p.size] for s in state.scratch)
+        if clip is not None:
+            g = np.multiply(g, clip, out=s2)
+        if weight_decay:
+            p *= 1.0 - lr * weight_decay
 
-    # m = b1 * m + (1 - b1) * g
-    state.m *= b1
-    state.m += np.multiply(g, 1.0 - b1, out=s1)
-    if state.kind == "adam":
-        # v = b2 * v + (1 - b2) * g * g;  p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        state.v *= b2
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - b2
-        state.v += s1
-        bc2 = 1.0 - b2 ** t
-        np.divide(state.v, bc2, out=s1)
-        np.sqrt(s1, out=s1)
-        s1 += eps
-        np.divide(state.m, bc1, out=s2)
-        s2 *= lr
-        s2 /= s1
-        p -= s2
-    else:  # adamax
-        # v = max(b2 * v, |g|);  p -= (lr / bc1) * m / (v + eps)
-        np.multiply(state.v, b2, out=s1)
-        np.maximum(s1, np.abs(g, out=s2), out=state.v)
-        np.multiply(state.m, lr / bc1, out=s1)
-        np.add(state.v, eps, out=s2)
-        s1 /= s2
-        p -= s1
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        if state.kind == "adam":
+            # v = b2 * v + (1 - b2) * g * g;  p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            v *= b2
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            np.divide(v, bc2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += eps
+            np.divide(m, bc1, out=s2)
+            s2 *= lr
+            s2 /= s1
+            p -= s2
+        else:  # adamax
+            # v = max(b2 * v, |g|);  p -= (lr / bc1) * m / (v + eps)
+            np.multiply(v, b2, out=s1)
+            np.maximum(s1, np.abs(g, out=s2), out=v)
+            np.multiply(m, lr / bc1, out=s1)
+            np.add(v, eps, out=s2)
+            s1 /= s2
+            p -= s1
 
     return params

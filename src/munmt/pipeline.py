@@ -234,11 +234,9 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                 obj, src_l, tgt_l = "mass", ds.lang, ds.lang
             else:
                 src, tgt = zip(*batch)
-                loss = cross_entropy_loss(params, mcfg, src, tgt, ds.tgt)
-                obj, src_l, tgt_l = "ce", ds.src, ds.tgt
-                if not ds.synthetic:
-                    rev = cross_entropy_loss(params, mcfg, tgt, src, ds.src)
-                    loss, obj = T.add(loss, rev), "ce2"
+                rev = None if ds.synthetic else ds.src
+                loss = cross_entropy_loss(params, mcfg, src, tgt, ds.tgt, rev)
+                obj, src_l, tgt_l = "ce" if rev is None else "ce2", ds.src, ds.tgt
             yield ds.id, obj, src_l, tgt_l, loss, lr_at(spec.lr, t)
             done = t + 1
             if done % 500 == 0 or done == spec.steps:

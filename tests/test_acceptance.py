@@ -200,6 +200,80 @@ def _case_masked_mean_nll(rng):
     return lambda t: T.scale(T.masked_mean_nll(t["a"], targets, mask), 1.7), leaves
 
 
+@prim
+def _case_masked_mean_nll_two_groups(rng):
+    # rows 0-1 and 2-3 are two groups, each the mean over its own positions
+    targets = rng.integers(1, 6, size=(4, 3))
+    targets[0, 1:] = tok.PAD
+    targets[3, 2] = tok.PAD
+    mask = targets != tok.PAD
+    leaves = {"a": _u(rng, 4, 3, 6)}
+    return lambda t: T.scale(T.masked_mean_nll(t["a"], targets, mask, 2), 1.7), leaves
+
+
+def _sublayer_case(rng, lq, mask, cross=False, bank_rows=None):
+    # H = 4 in 2 heads; a bank has 3 rows, of which `bank_rows` are used
+    c = T.constant(_u(rng, 2, lq, 4))
+    leaves = {"x": _u(rng, 2, lq, 4), "g": 1.0 + 0.3 * _u(rng, 4), "b": _u(rng, 4)}
+    for n in ("wq", "wk", "wv"):
+        leaves[n] = _u(rng, 4, 4)
+    leaves["wo"] = _u(rng, 4, 4) if bank_rows is None else _u(rng, 3, 4, 4)
+    if cross:
+        leaves["m"] = _u(rng, 2, 5, 4)
+
+    def build(t):
+        w = tuple(t[n] for n in ("wq", "wk", "wv", "wo"))
+        out = T.attention_sublayer(t["x"], (t["g"], t["b"]), w, 2, mask,
+                                   memory=t["m"] if cross else None, bank_rows=bank_rows)
+        return T.sum_all(T.mul(out, c))
+
+    return build, leaves
+
+
+@prim
+def _case_attention_sublayer_causal(rng):
+    return _sublayer_case(rng, 3, np.triu(np.full((3, 3), NEG), k=1)[None, None])
+
+
+@prim
+def _case_attention_sublayer_key_padded(rng):
+    keep = rng.random((2, 3)) < 0.7
+    keep[:, 0] = True
+    return _sublayer_case(rng, 3, np.where(keep, 0.0, NEG)[:, None, None, :])
+
+
+@prim
+def _case_attention_sublayer_cross(rng):
+    keep = rng.random((2, 5)) < 0.7
+    keep[:, 0] = True
+    return _sublayer_case(rng, 3, np.where(keep, 0.0, NEG)[:, None, None, :], cross=True)
+
+
+@prim
+def _case_attention_sublayer_bank_row(rng):
+    return _sublayer_case(rng, 3, None, cross=True, bank_rows=(2,))
+
+
+@prim
+def _case_attention_sublayer_two_row_groups(rng):
+    # batch row 0 through bank row 1, batch row 1 through bank row 0
+    return _sublayer_case(rng, 3, np.triu(np.full((3, 3), NEG), k=1)[None, None],
+                          bank_rows=(1, 0))
+
+
+@prim
+def _case_ffn_sublayer(rng):
+    c = T.constant(_u(rng, 2, 3, 4))
+    leaves = {"x": _u(rng, 2, 3, 4), "g": 1.0 + 0.3 * _u(rng, 4), "b": _u(rng, 4),
+              "w1": _u(rng, 4, 6), "b1": _u(rng, 6), "w2": _u(rng, 6, 4), "b2": _u(rng, 4)}
+
+    def build(t):
+        out = T.ffn_sublayer(t["x"], (t["g"], t["b"]), t["w1"], t["b1"], t["w2"], t["b2"])
+        return T.sum_all(T.mul(out, c))
+
+    return build, leaves
+
+
 def _loss_cfg():
     return ModelConfig(languages=["en", "aa", "xa"], vocab_size=12, layers=1,
                        hidden=4, ffn=8, heads=2, max_positions=16)

@@ -311,3 +311,153 @@ def test_fused_nodes_form_no_mask_gradient():
     assert out.parents == (q, q, q)
     nll = T.masked_mean_nll(q, np.ones((2, 3), dtype=np.int64), np.ones((2, 3), bool))
     assert nll.parents == (q,)
+
+
+# --- the residual sublayer nodes against the primitive chains -------------
+
+
+def _chained_attention_sublayer(x, ln, w, heads, mask, memory=None, bank_rows=None):
+    wq, wk, wv, wo = w
+    h = T.layernorm(x, *ln)
+    m = h if memory is None else memory
+    a = T.attention(T.matmul(h, wq), T.matmul(m, wk), T.matmul(m, wv), heads, mask)
+    if bank_rows is None:
+        return T.add(x, T.matmul(a, wo))
+    if len(bank_rows) == 1:
+        return T.add(x, T.matmul(a, T.embedding(wo, bank_rows[0])))
+    B, L, H = a.shape
+    G = len(bank_rows)
+    proj = T.matmul(T.reshape(a, (G, B // G * L, H)), T.embedding(wo, np.asarray(bank_rows)))
+    return T.add(x, T.reshape(proj, (B, L, H)))
+
+
+def _chained_ffn_sublayer(x, ln, w1, b1, w2, b2):
+    h = T.relu(T.add(T.matmul(T.layernorm(x, *ln), w1), b1))
+    return T.add(x, T.add(T.matmul(h, w2), b2))
+
+
+@pytest.mark.parametrize("case", ["causal", "padding", "cross", "bank_row", "row_groups"])
+def test_attention_sublayer_is_bit_identical_to_the_chain(case):
+    # H = 12 in 4 heads, so the 1/sqrt(3) scaling rounds
+    B, L, H, heads = 4, 5, 12, 4
+    mask = {"causal": np.triu(np.full((L, L), NEG, dtype=np.float32), k=1)[None, None],
+            "padding": _key_padding(B, L), "cross": _key_padding(B, 7),
+            "bank_row": _key_padding(B, 7), "row_groups": None}[case]
+    bank_rows = {"bank_row": (2,), "row_groups": (1, 2)}.get(case)
+    leaves = {"x": _f32(B, L, H), "g": 1 + _f32(H) / 4, "b": _f32(H),
+              "wq": _f32(H, H), "wk": _f32(H, H), "wv": _f32(H, H),
+              "wo": _f32(H, H) if bank_rows is None else _f32(3, H, H)}
+    if case in ("cross", "bank_row"):
+        leaves["m"] = _f32(B, 7, H)
+
+    def args(t):
+        return ((t["x"], (t["g"], t["b"]), tuple(t[n] for n in ("wq", "wk", "wv", "wo")),
+                 heads, mask),
+                {"memory": t.get("m"), "bank_rows": bank_rows})
+
+    fused = _outputs_and_grads(lambda t: T.attention_sublayer(*args(t)[0], **args(t)[1]), leaves)
+    chain = _outputs_and_grads(lambda t: _chained_attention_sublayer(*args(t)[0], **args(t)[1]),
+                               leaves)
+    assert fused == chain
+
+
+def test_ffn_sublayer_is_bit_identical_to_the_chain():
+    leaves = {"x": _f32(3, 5, 12), "g": 1 + _f32(12) / 4, "b": _f32(12),
+              "w1": _f32(12, 20), "b1": _f32(20), "w2": _f32(20, 12), "b2": _f32(12)}
+    names = ("w1", "b1", "w2", "b2")
+    fused = _outputs_and_grads(
+        lambda t: T.ffn_sublayer(t["x"], (t["g"], t["b"]), *(t[n] for n in names)), leaves)
+    chain = _outputs_and_grads(
+        lambda t: _chained_ffn_sublayer(t["x"], (t["g"], t["b"]), *(t[n] for n in names)), leaves)
+    assert fused == chain
+
+
+@pytest.mark.parametrize("lq, lk, mask", [(5, 7, "padding"), (6, 6, "causal"), (1, 48, None)])
+def test_attention_row_max_matches_ndarray_max(monkeypatch, lq, lk, mask):
+    # outputs and gradients, not the max itself: of a +0.0/-0.0 tie either
+    # zero may come out, and exp maps both to 1
+    B, H, heads = 3, 12, 4
+    if mask == "padding":
+        mask = _key_padding(B, lk)
+    elif mask == "causal":
+        mask = np.triu(np.full((lq, lk), NEG, dtype=np.float32), k=1)[None, None]
+    leaves = {"q": _f32(B, lq, H), "k": _f32(B, lk, H), "v": _f32(B, lk, H)}
+    leaves["q"][0] = 0.0  # a row of exactly equal scores
+    build = lambda t: T.attention(t["q"], t["k"], t["v"], heads, mask)  # noqa: E731
+    fast = _outputs_and_grads(build, leaves)
+    monkeypatch.setattr(T, "_row_max", lambda p: p.max(axis=-1, keepdims=True))
+    assert fast == _outputs_and_grads(build, leaves)
+
+
+def test_attention_row_max_propagates_nan():
+    q = _f32(2, 3, 4)
+    q[1, 2, 0] = np.nan
+    out = T.attention(T.constant(q), T.constant(_f32(2, 5, 4)), T.constant(_f32(2, 5, 4)), 2)
+    assert np.isnan(out.data[1, 2]).any() and not np.isnan(out.data[0]).any()
+
+
+def test_two_group_nll_is_the_sum_of_two_calls():
+    # the groups share their padded length here, so each half's value and
+    # gradient are those of a separate call, and the means add as `add` adds
+    targets = RNG.integers(1, 11, size=(6, 5))
+    targets[0, 2:] = 0
+    targets[4, 1:] = 0
+    mask = targets != 0
+    logits = _f32(6, 5, 11) * 3
+    merged = _outputs_and_grads(
+        lambda t: T.masked_mean_nll(t["a"], targets, mask, 2), {"a": logits})
+    halves = _outputs_and_grads(
+        lambda t: T.add(T.masked_mean_nll(t["a"], targets[:3], mask[:3]),
+                        T.masked_mean_nll(t["b"], targets[3:], mask[3:])),
+        {"a": logits[:3], "b": logits[3:]})
+    assert merged[0] == halves[0]
+    assert merged[1]["a"] == halves[1]["a"] + halves[1]["b"]
+
+
+# --- byte identity of the rewritten layernorm and embedding vjps ----------
+
+
+def _mean_formulation(x, gain, bias, g, eps=1e-5):
+    """The np.mean layernorm and its vjp, gain/bias summed like `add` sums."""
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes),
+            g.sum(axis=axes))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (5, 12), (3, 4, 64), (2, 6, 10)])
+def test_layernorm_bytes_match_the_mean_formulation(dtype, shape):
+    x, g = randu(*shape).astype(dtype), randu(*shape).astype(dtype)
+    gain, bias = randu(shape[-1]).astype(dtype), randu(shape[-1]).astype(dtype)
+    tensors = {"x": T.parameter(x, "x"), "g": T.parameter(gain, "g"), "b": T.parameter(bias, "b")}
+    out = T.layernorm(tensors["x"], tensors["g"], tensors["b"])
+    grads = T.backward(T.sum_all(T.mul(out, T.constant(g))), tensors)
+    want = _mean_formulation(x, gain, bias, g)
+    got = (out.data, grads["x"], grads["g"], grads["b"])
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["scalar", "unique", "repeated", "2d", "bank_rows"])
+def test_embedding_vjp_bytes_match_add_at(dtype, kind):
+    table = randu(9, 4, 3) if kind == "bank_rows" else randu(9, 5)
+    ids = {"scalar": np.int64(4), "unique": RNG.permutation(9)[:6],
+           "repeated": RNG.integers(0, 3, size=40),  # runs of 8 and more per row
+           "2d": RNG.integers(0, 9, size=(4, 6)), "bank_rows": np.asarray([7, 2])}[kind]
+    g = randu(*np.shape(ids), *table.shape[1:]).astype(dtype)
+    g.reshape(-1)[::5] = -0.0
+    if kind == "scalar":
+        g[...] = -0.0 * np.sign(g)
+    t = T.parameter(table.astype(dtype), "t")
+    got = T.backward(T.sum_all(T.mul(T.embedding(t, ids), T.constant(g))), {"t": t})["t"]
+    want = np.zeros(table.shape, dtype)
+    np.add.at(want, ids, g)
+    assert got.tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from munmt import tensor as T
-from munmt.errors import ConfigError, DataError
+from munmt.errors import ConfigError, DataError, NumericError
 from munmt.objectives import cross_entropy_loss
 from munmt.model import (
     DecoderCache,
@@ -20,6 +20,7 @@ from munmt.model import (
     greedy_decode_batch,
     init_params,
     param_shapes,
+    src_key_mask,
     strip_body,
 )
 from munmt.tokenizer import BOS, EOS, PAD
@@ -178,7 +179,7 @@ def test_causal_masking_via_gradients():
     enc_out, mask = encode(params, cfg, src)
     rng = np.random.default_rng(0)
     dec_emb = T.parameter(rng.normal(size=(1, 4, cfg.hidden)), "dec_emb")
-    h = _decoder_stack(params, cfg, enc_out, mask, dec_emb, 1)
+    h = _decoder_stack(params, cfg, enc_out, mask, dec_emb, (1,))
     pick = np.zeros((1, 4, cfg.hidden))
     pick[0, 1, :] = 1.0  # position 1 outputs only
     loss = T.sum_all(T.mul(h, T.constant(pick)))
@@ -275,34 +276,132 @@ def _graph_nodes(loss):
     return list(seen.values())
 
 
-# teacher-forced `ce` at the small geometry (2 layers, 6 attention blocks);
-# the unfused attention and loss chains built 239 nodes
-CE_NODES_MAX = 156
+# teacher-forced `ce` at the small geometry (2 layers, 67 parameter leaves):
+# one node per residual sublayer; with one node per attention block and the
+# projections, layernorms, relu and residual adds as primitives it built 156
+CE_NODES_MAX = 92
 
 
 def test_teacher_forced_loss_graph_stays_fused(monkeypatch):
     cfg = small_cfg()
     params = init_params(cfg, seed=13)
-    blocks = []
-    real = T.attention
-
-    def recorded(q, k, v, heads, mask=None):
-        blocks.append(real(q, k, v, heads, mask))
-        return blocks[-1]
-
-    monkeypatch.setattr(T, "attention", recorded)
+    made = {"attention_sublayer": [], "ffn_sublayer": []}
+    for kind, out in made.items():
+        def recorded(*args, _real=getattr(T, kind), _out=out, **kw):
+            _out.append(_real(*args, **kw))
+            return _out[-1]
+        monkeypatch.setattr(T, kind, recorded)
     src = [np.asarray([5, 6, 7]), np.asarray([8, 9])]
     tgt = [np.asarray([10, 11]), np.asarray([12, 13, 14])]
     nodes = _graph_nodes(cross_entropy_loss(params, cfg, src, tgt, "xa"))
     assert len(nodes) <= CE_NODES_MAX
-    assert len(blocks) == 3 * cfg.layers
-    # each block is one node, whose parents are the q/k/v projections
+    assert len(made["attention_sublayer"]) == 3 * cfg.layers
+    assert len(made["ffn_sublayer"]) == 2 * cfg.layers
+    # each sublayer is one node, whose parents are its residual input and
+    # its own parameters
     ids = {id(n) for n in nodes}
-    for out in blocks:
+    for out in made["attention_sublayer"] + made["ffn_sublayer"]:
         assert id(out) in ids
-        for proj in out.parents:
-            x, w = proj.parents
-            assert w.name.rsplit(".", 1)[-1] in ("wq", "wk", "wv"), w.name
+        names = [p.name.rsplit(".", 1)[-1] for p in out.parents[1:7]]
+        assert names in (["g", "b", "wq", "wk", "wv", "wo"],
+                         ["g", "b", "wq", "wk", "wv", "wo_bank"],
+                         ["g", "b", "w1", "b1", "w2", "b2"]), names
+
+
+def _chain_ln(P, name, x):
+    return T.layernorm(x, P[f"{name}.g"], P[f"{name}.b"])
+
+
+def _chain_ffn(P, ln, name, x):
+    h = T.relu(T.add(T.matmul(_chain_ln(P, ln, x), P[f"{name}.w1"]), P[f"{name}.b1"]))
+    return T.add(x, T.add(T.matmul(h, P[f"{name}.w2"]), P[f"{name}.b2"]))
+
+
+def _chain_attn(P, ln, name, wo, x, heads, mask, kv=None, memory=None):
+    h = _chain_ln(P, ln, x)
+    if kv is None:
+        m = h if memory is None else memory
+        kv = T.matmul(m, P[f"{name}.wk"]), T.matmul(m, P[f"{name}.wv"])
+    a = T.attention(T.matmul(h, P[f"{name}.wq"]), *kv, heads, mask)
+    return T.add(x, T.matmul(a, wo))
+
+
+def _chained_step_logits(params, cfg, src, prefix, lang):
+    """Cached greedy-decoding step logits built from primitives, the chain
+    the sublayer nodes replace: the encoder once, then one position a step
+    against the self-attention keys and values of the earlier ones."""
+    P, heads = params.tensors, cfg.heads
+    mask = src_key_mask(src, np.float32)
+    x = T.add(T.scale(T.embedding(P["tok_emb"], src), math.sqrt(cfg.hidden)),
+              T.embedding(P["pos_emb"], np.arange(src.shape[1])))
+    for i in range(cfg.layers):
+        p = f"enc.{i}"
+        x = _chain_attn(P, f"{p}.ln1", f"{p}.attn", P[f"{p}.attn.wo"], x, heads, mask)
+        x = _chain_ffn(P, f"{p}.ln2", f"{p}.ffn", x)
+    enc = _chain_ln(P, "enc.final_ln", x)
+    store = DecoderCache(params, cfg, enc, prefix.shape[1])  # storage only
+    li = cfg.lang_index(lang)
+    steps = []
+    for t in range(prefix.shape[1]):
+        y = T.add(T.scale(T.embedding(P["tok_emb"], prefix[:, t:t + 1]), math.sqrt(cfg.hidden)),
+                  T.embedding(P["pos_emb"], np.arange(t, t + 1)))
+        y = T.add(y, T.embedding(P["lang_emb"], li))
+        for i in range(cfg.layers):
+            p = f"dec.{i}"
+            h = _chain_ln(P, f"{p}.ln1", y)
+            kv = store.extend(i, T.matmul(h, P[f"{p}.self.wk"]).data,
+                              T.matmul(h, P[f"{p}.self.wv"]).data)
+            y = _chain_attn(P, f"{p}.ln1", f"{p}.self", T.embedding(P[f"{p}.self.wo_bank"], li),
+                            y, heads, None, kv=tuple(map(T.constant, kv)))
+            y = _chain_attn(P, f"{p}.ln2", f"{p}.cross", T.embedding(P[f"{p}.cross.wo_bank"], li),
+                            y, heads, mask, memory=enc)
+            y = _chain_ffn(P, f"{p}.ln3", f"{p}.ffn", y)
+        y = _chain_ln(P, "dec.final_ln", y)
+        steps.append(T.matmul(y, T.transpose(P["tok_emb"], (1, 0))).data)
+    return steps
+
+
+def test_cached_decode_step_is_bit_identical_to_the_primitive_chain():
+    cfg = small_cfg()
+    params = init_params(cfg, seed=17)
+    src = np.asarray([[5, 6, 7, PAD], [8, 9, 10, 11], [12, PAD, PAD, PAD]], dtype=np.int32)
+    prefix = np.asarray([[BOS, 13, 14, 15, 16, 17],
+                         [BOS, 19, 20, 21, 22, 5],
+                         [BOS, 7, 8, 9, 10, 11]], dtype=np.int32)
+    with T.no_grad():
+        want = _chained_step_logits(params, cfg, src, prefix, "xa")
+        enc_out, mask = encode(params, cfg, src)
+        cache = DecoderCache(params, cfg, enc_out, prefix.shape[1])
+        for t in range(prefix.shape[1]):
+            got = decode_logits(params, cfg, None, mask, prefix[:, t:t + 1], "xa", cache)
+            assert got.data.tobytes() == want[t].tobytes(), t
+
+
+def test_cached_keys_and_values_refuse_a_gradient():
+    cfg = small_cfg()
+    params = init_params(cfg, seed=17)
+    src = np.asarray([[5, 6]], dtype=np.int32)
+    with T.no_grad():
+        enc_out, mask = encode(params, cfg, src)
+        cache = DecoderCache(params, cfg, enc_out, 2)
+    with pytest.raises(NumericError):
+        decode_logits(params, cfg, None, mask, np.asarray([[BOS]], dtype=np.int32), "xa", cache)
+
+
+def test_two_language_groups_decode_as_two_batches():
+    # the row-group rule: rows 0-1 in xa and rows 2-3 in en give the logits
+    # of two separate batches of the same padded lengths
+    cfg = small_cfg()
+    params = init_params(cfg, seed=19, dtype=np.float64)
+    src = np.asarray([[5, 6, 7], [8, 9, PAD], [10, 11, 12], [13, PAD, PAD]], dtype=np.int32)
+    dec = np.asarray([[BOS, 8, 9], [BOS, 14, PAD], [BOS, 15, 16], [BOS, 17, 18]], dtype=np.int32)
+    both = forward_logits(params, cfg, src, dec, ("xa", "en")).data
+    np.testing.assert_allclose(both[:2], forward_logits(params, cfg, src[:2], dec[:2], "xa").data,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(both[2:], forward_logits(params, cfg, src[2:], dec[2:], "en").data,
+                               rtol=1e-12, atol=1e-12)
+    with pytest.raises(DataError):
+        forward_logits(params, cfg, src[:3], dec[:3], ("xa", "en"))
 
 
 def test_float32_gradient_within_tolerance_of_float64():
@@ -317,9 +416,7 @@ def test_float32_gradient_within_tolerance_of_float64():
     rows = [rng.integers(5, 240, size=rng.integers(4, 20)) for _ in range(16)]
     src, tgt = rows[:8], rows[8:]
     for params in (p32, p64):
-        loss = T.add(cross_entropy_loss(params, cfg, src, tgt, "xa"),
-                     cross_entropy_loss(params, cfg, tgt, src, "en"))
-        T.backward(loss, params.tensors)
+        T.backward(cross_entropy_loss(params, cfg, src, tgt, "xa", "en"), params.tensors)
     rel = np.linalg.norm(p32.grad - p64.grad) / np.linalg.norm(p64.grad)
     assert rel <= 1e-5, rel
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from munmt.errors import ConfigError
+from munmt.errors import ConfigError, NumericError
 from munmt.model import ModelParams
 from munmt.config import LrSpec
-from munmt.optim import OptimState, lr_at, optimizer_step
+from munmt.optim import BLOCK, OptimState, lr_at, optimizer_step
 
 
 def _single(value=1.0):
@@ -160,25 +160,42 @@ def _allocating_step(p, g, m, v, t, kind, lr, weight_decay, clip_norm):
 @pytest.mark.parametrize("clip_norm", [None, 30.0])
 def test_scratch_step_is_bit_identical_to_the_allocating_formula(kind, clip_norm):
     # 50 float32 steps with a varying lr and weight decay; gradient norms
-    # spread around the clip norm, so clipped and unclipped steps both occur
-    rng = np.random.default_rng(29)
-    n = 1000
-    p0 = rng.normal(size=n).astype(np.float32)
-    params = ModelParams({"a": p0[:600].reshape(20, 30), "b": p0[600:]})
-    state = OptimState.init(params, kind)
-    p, m, v = p0.copy(), np.zeros(n, np.float32), np.zeros(n, np.float32)
-    clipped = 0
-    for t in range(1, 51):
-        g = (rng.normal(size=n) * rng.uniform(0.2, 2.0)).astype(np.float32)
-        lr = 1e-3 * t / 50 + 1e-4
-        params.grad[...] = g
-        optimizer_step(params, state, lr=lr, weight_decay=0.01, clip_norm=clip_norm)
-        _allocating_step(p, g, m, v, t, kind, lr, 0.01, clip_norm)
-        clipped += clip_norm is not None and np.linalg.norm(g) > clip_norm
-        assert params.flat.tobytes() == p.tobytes(), t
-        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
-        np.testing.assert_array_equal(params.grad, g)  # the gradient is only read
-    assert clip_norm is None or 0 < clipped < 50
+    # spread around the clip norm, so clipped and unclipped steps both occur.
+    # The second store is three blocks, the last one partial.
+    for n in (1000, 2 * BLOCK + 1000):
+        rng = np.random.default_rng(29)
+        clip = clip_norm and clip_norm * np.sqrt(n / 1000)
+        p0 = rng.normal(size=n).astype(np.float32)
+        params = ModelParams({"a": p0[:600].reshape(20, 30), "b": p0[600:]})
+        state = OptimState.init(params, kind)
+        p, m, v = p0.copy(), np.zeros(n, np.float32), np.zeros(n, np.float32)
+        clipped = 0
+        for t in range(1, 51):
+            g = (rng.normal(size=n) * rng.uniform(0.2, 2.0)).astype(np.float32)
+            lr = 1e-3 * t / 50 + 1e-4
+            params.grad[...] = g
+            optimizer_step(params, state, lr=lr, weight_decay=0.01, clip_norm=clip)
+            _allocating_step(p, g, m, v, t, kind, lr, 0.01, clip)
+            clipped += clip is not None and np.linalg.norm(g) > clip
+            assert params.flat.tobytes() == p.tobytes(), (n, t)
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), (n, t)
+            np.testing.assert_array_equal(params.grad, g)  # the gradient is only read
+        assert clip is None or 0 < clipped < 50
+
+
+def test_non_finite_gradient_in_the_last_block_writes_nothing():
+    n = 2 * BLOCK + 10
+    params = ModelParams({"a": np.linspace(-1, 1, n, dtype=np.float32)})
+    state = OptimState.init(params)
+    params.grad[...] = 0.5
+    optimizer_step(params, state, lr=1e-3)
+    before = [a.copy() for a in (params.flat, state.m, state.v)]
+    params.grad[-3] = np.nan
+    with pytest.raises(NumericError):
+        optimizer_step(params, state, lr=1e-3, weight_decay=0.1)
+    for a, b in zip((params.flat, state.m, state.v), before):
+        assert a.tobytes() == b.tobytes()
+    assert state.step == 1
 
 
 # --- learning-rate schedule ---
