@@ -281,9 +281,11 @@ def read_config_doc(path) -> dict:
     Its manifest and testsets paths are relative to the file, and come back
     joined to its directory (an absolute path stays as it is)."""
     doc = read_json(path, "config", error=ConfigError)
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
     root = os.path.dirname(os.path.abspath(path))
     for key in DATA_PATH_KEYS:
-        if isinstance(doc, dict) and isinstance(doc.get(key), str) and doc[key]:
+        if isinstance(doc.get(key), str) and doc[key]:
             doc[key] = os.path.join(root, doc[key])
     return doc
 

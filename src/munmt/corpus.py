@@ -209,27 +209,34 @@ def resolve_paths(entries, listed_in) -> list:
     return resolved
 
 
+def _text(entry, key):
+    """entry[key] if the entry is an object and that is a non-empty string."""
+    val = entry.get(key) if isinstance(entry, dict) else None
+    return val if isinstance(val, str) and val else None
+
+
 def entry_problems(entries, languages, taken=()) -> list:
     """What is wrong with each dataset entry, wherever it was read from: a
     missing id or one already used (here or in `taken`), an unknown kind, a
-    language not in `languages`, or a missing path."""
+    language not in `languages`, or a missing path. Ids, languages and paths
+    must be non-empty strings."""
     names = {l.name for l in languages}
     ids = set(taken)
     problems = []
     for entry in entries:
-        did = entry.get("id") if isinstance(entry, dict) else None
-        if not did or did in ids:
+        did = _text(entry, "id")
+        if did is None or did in ids:
             problems.append(f"bad or duplicate dataset id {entry!r}")
             continue
         ids.add(did)
         kind = entry.get("kind")
         if kind == "mono":
-            if entry.get("lang") not in names or not entry.get("path"):
+            if _text(entry, "lang") not in names or _text(entry, "path") is None:
                 problems.append(f"mono dataset {did} needs a known lang and a path")
         elif kind == "parallel":
-            if entry.get("src") not in names or entry.get("tgt") not in names:
+            if _text(entry, "src") not in names or _text(entry, "tgt") not in names:
                 problems.append(f"parallel dataset {did} has unknown languages")
-            if not entry.get("src_path") or not entry.get("tgt_path"):
+            if _text(entry, "src_path") is None or _text(entry, "tgt_path") is None:
                 problems.append(f"parallel dataset {did} needs src_path and tgt_path")
         else:
             problems.append(f"dataset {did} has unknown kind {kind!r}")

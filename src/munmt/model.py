@@ -130,9 +130,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arrays)
-
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic init: embeddings N(0, 0.02), matrices N(0, fan_in^-0.5),

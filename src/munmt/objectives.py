@@ -96,12 +96,6 @@ def apply_mask(ids: np.ndarray, spec: MaskSpec):
     return masked, segment
 
 
-def mass_loss_for_spec(params, cfg, ids: np.ndarray, lang: str, spec: MaskSpec) -> T.Tensor:
-    """Definitional reduction: CE from the masked sentence to the hidden span."""
-    masked, segment = apply_mask(ids, spec)
-    return cross_entropy_loss(params, cfg, [masked], [segment], lang)
-
-
 def mass_loss(params, cfg, rows, lang: str, rng: np.random.Generator) -> T.Tensor:
     """Batched masked-span loss over id rows; each row draws its own span
     from `rng`."""

@@ -68,16 +68,6 @@ def zipf_probs(vocab_types: int, exponent: float = ZIPF_EXPONENT) -> np.ndarray:
     return p / p.sum()
 
 
-def zipf_ks_distance(counts, exponent: float = ZIPF_EXPONENT) -> float:
-    """KS distance between empirical rank frequencies and the Zipf target."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.sum() <= 0:
-        raise DataError("no observations")
-    emp = np.cumsum(counts / counts.sum())
-    theory = np.cumsum(zipf_probs(len(counts), exponent))
-    return float(np.max(np.abs(emp - theory)))
-
-
 def _swap_partner(rank: int, vocab_types: int) -> int:
     # tail ranks pair up (10,11), (12,13), ...; head ranks have no partner
     if rank < TAIL_START:
@@ -300,7 +290,24 @@ class BenchmarkConfig:
         return [self.base_name] + list(self.auxiliaries) + list(self.targets)
 
     def validate(self):
+        # the section comes from an untrusted file or override, unchecked by
+        # config's field types, so types go first: the containers before
+        # anything reads them, and ranges only where the types hold
         bad = []
+        if not isinstance(self.base_name, str):
+            bad.append(f"base_name must be a string, got {self.base_name!r}")
+        if not (isinstance(self.auxiliaries, list)
+                and all(isinstance(a, str) for a in self.auxiliaries)):
+            bad.append(f"auxiliaries must be a list of strings, got {self.auxiliaries!r}")
+        if not (isinstance(self.targets, dict)
+                and all(isinstance(t, (dict, TargetSpec)) for t in self.targets.values())):
+            bad.append(f"targets must be an object of objects, got {self.targets!r}")
+        else:
+            bad += [f"target {name}: cognates must be an object, got {t.cognates!r}"
+                    for name, t in self.normalized_targets().items()
+                    if not isinstance(t.cognates, dict)]
+        if bad:
+            raise ConfigError(bad)
         names = self.language_names
         if len(set(names)) != len(names):
             bad.append("language names must be distinct (a target listed as an "
@@ -309,9 +316,6 @@ class BenchmarkConfig:
             bad.append("need at least one target language")
         if not self.auxiliaries:
             bad.append("need at least one auxiliary language")
-        # the section comes from an untrusted file or override, unchecked by
-        # config's field types, so types go first and ranges only where
-        # they hold
         ints = ("seed", "vocab_types", "len_min", "len_max") + self.LINE_COUNTS
         for key in ints:
             if not _is_int(getattr(self, key)):

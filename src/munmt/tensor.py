@@ -1,34 +1,36 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array. Operations on tensors record a DAG of
-primitive nodes; ``backward`` walks that DAG once in reverse topological
-order and writes exact gradients straight into the buffers of named leaf
-parameters. Training runs in float32; gradient checks run the same code in
-float64.
+A Tensor wraps a numpy array. Operations on tensors record a DAG of nodes;
+``backward`` walks that DAG once in reverse topological order and writes
+exact gradients straight into the buffers of named leaf parameters. Training
+runs in float32; gradient checks run the same code in float64.
 
-Fused nodes stand for chains of primitives, with vjps that repeat the
-chains' operations in the same order: `attention`, `masked_mean_nll`, and
+This is the engine that training and decoding run, and nothing more. Most of
+the model is fused nodes, each standing for a chain of primitives with a vjp
+that repeats the chain's operations in the same order: `masked_mean_nll` and
 the two residual sublayers of a transformer layer. `attention_sublayer` is
 pre-LN, the q/k/v projections (keys and values from the normed input or from
 `memory`), attention, the output projection and the residual; `ffn_sublayer`
 is pre-LN, w1 + b1, relu, w2 + b2 and the residual. They share their math
-with `layernorm` and `attention` through the private helpers `_ln`,
-`_ln_vjp`, `_attend` and `_attend_vjp`. The softmax row max, `_row_max`, is
-an exact elementwise maximum over a transposed copy, fast on short rows.
+with `layernorm` through the private helpers `_ln`, `_ln_vjp`, `_attend` and
+`_attend_vjp`. The softmax row max, `_row_max`, is an exact elementwise
+maximum over a transposed copy, fast on short rows.
 
 The row-group rule: a node given one weight row per group (`bank_rows`) or
 asked for per-group means (`groups`) splits the batch rows into equal
 consecutive groups, so one forward serves several languages.
 
-Each fused node is bit-identical to its chain on its own. A cross-attention
-sublayer hands `memory` the sum of its key and value gradients, so where
-several layers read one memory its gradient sums per layer, not per
-projection as the chain does. `matmul` by a 2-D right operand (a weight)
-folds the left operand's leading axes into rows: the forward, the input
-gradient and the weight gradient are one BLAS call each. That can sum in
-another order than one product per leading index (the weight gradient
-always does), so it is not bit-identical to the batched form; float32
-gradients stay within a relative L2 of 1e-5 of a float64 reference.
+Each fused node is bit-identical to its chain on its own. The unfused
+primitives, the batched matmul and the chains themselves live with the tests,
+in `tests/chain.py`, which the oracle tests and the gradient suite import. A
+cross-attention sublayer hands `memory` the sum of its key and value
+gradients, so where several layers read one memory its gradient sums per
+layer, not per projection as the chain does. `matmul` multiplies by a 2-D
+right operand (a weight) and folds the left operand's leading axes into rows:
+the forward, the input gradient and the weight gradient are one BLAS call
+each. That can sum in another order than one product per leading index (the
+weight gradient always does), so it is not bit-identical to the batched form;
+float32 gradients stay within a relative L2 of 1e-5 of a float64 reference.
 
 Values are expected to stay finite. Nothing here scans intermediates (that
 would double step cost); the trainer checks each loss before backpropagating
@@ -84,10 +86,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}, name={self.name})"
 
 
-def constant(data) -> Tensor:
-    return Tensor(np.asarray(data))
-
-
 def parameter(data, name: str, grad=None) -> Tensor:
     """A leaf whose gradient `backward` writes into `grad`, or into its own buffer."""
     t = Tensor(np.asarray(data), requires_grad=True, name=name)
@@ -115,7 +113,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# primitive operations
+# primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -123,27 +121,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(out, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make(out, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
 
     return _make(out, (a, b), vjp)
 
@@ -157,53 +134,18 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with numpy matmul broadcasting rules.
-
-    A 2-D right operand (a weight) folds the left operand's leading axes into
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w for a 2-D right operand w (a weight). x's leading axes fold into
     rows, so the forward, the input gradient and the weight gradient are one
-    2-D product each instead of one per leading index plus a sum.
-    """
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
-
-        def vjp(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
-
-        return _make(out, (a, b), vjp)
-
-    out = np.matmul(a.data, b.data)
+    2-D product each instead of one per leading index plus a sum."""
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = (x2 @ w.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2
 
-    return _make(out, (a, b), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
-
-    def vjp(g):
-        return (g * (a.data > 0),)
-
-    return _make(out, (a,), vjp)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return _make(out, (a,), vjp)
+    return _make(out, (x, w), vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -213,39 +155,6 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     def vjp(g):
         return (g.transpose(inv),)
-
-    return _make(out, (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum()
-
-    def vjp(g):
-        return (np.ones_like(a.data) * g,)
-
-    return _make(out, (a,), vjp)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, numerically stabilized."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), vjp)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-
-    def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _make(out, (a,), vjp)
 
@@ -286,22 +195,8 @@ def _scatter_add(table: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarra
     return gt
 
 
-def take_along_last(a: Tensor, idx) -> Tensor:
-    """Gather along the last axis: out[..., j] = a[..., idx[..., j]]."""
-    idx = np.asarray(idx)
-    out = np.take_along_axis(a.data, idx, axis=-1)
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        grid = np.meshgrid(*[np.arange(n) for n in idx.shape], indexing="ij")
-        np.add.at(ga, tuple(grid[:-1]) + (idx,), g)
-        return (ga,)
-
-    return _make(out, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
-# shared math of the layernorm, attention and sublayer nodes, on arrays
+# shared math of the layernorm and sublayer nodes, on arrays
 
 
 def _ln(x, gain, bias, eps=1e-5):
@@ -376,25 +271,9 @@ def _attend_vjp(g, saved):
 
 
 # ---------------------------------------------------------------------------
-# fused nodes: one node for a chain of the primitives above, whose vjp repeats
-# that chain's operations in the same order, so values and gradients are
-# bit-identical to the chain's
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
-    """Scaled dot-product attention of (B, Lq, H) queries over (B, Lk, H) keys
-    and values, split into `heads` heads of H // heads.
-
-    `mask` is a constant additive array that broadcasts against the
-    (B, heads, Lq, Lk) scores, or None; no gradient is formed for it. The
-    node replaces split heads, scores, scale, mask, softmax, mix and merge.
-    """
-    out, saved = _attend(q.data, k.data, v.data, heads, mask)
-
-    def vjp(g):
-        return _attend_vjp(g, saved)
-
-    return _make(out, (q, k, v), vjp)
+# fused nodes: one node for a chain of primitives (tests/chain.py builds each
+# chain), whose vjp repeats that chain's operations in the same order, so
+# values and gradients are bit-identical to the chain's
 
 
 def attention_sublayer(x: Tensor, ln, w, heads: int, mask=None, memory: Tensor | None = None,

@@ -15,19 +15,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import chain as T
 from bleu_oracle import ORACLE_CASES, oracle_bleu
+from chain import mass_loss_for_spec
 from fdutil import REL_TOL, check_grads, fd_grad, rel_err
-from munmt import objectives, tensor as T, tokenizer as tok
+from munmt import objectives, tokenizer as tok
 from munmt.checkpoint import load_checkpoint
 from munmt.cli import main as cli_main
 from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
                           Stage3Spec, StageSpec, SyntheticSpec)
 from munmt.corpus import Dataset, SamplingPolicy, choose_dataset
 from munmt.evaluation import bleu, tokenize_13a
-from munmt.model import NEG, ModelConfig, init_params
+from munmt.model import NEG, ModelConfig, ModelParams, init_params
 from munmt.objectives import (MaskSpec, back_translation_loss,
                               cross_entropy_loss, cross_translation_loss,
-                              draw_mask_spec, mass_loss_for_spec)
+                              draw_mask_spec)
 from munmt.pipeline import build_context, run_algorithm1, run_pipeline, run_stage1
 from munmt.rng import named_rng
 
@@ -59,63 +61,63 @@ def _off_zero(rng, *shape):
 
 @prim
 def _case_add(rng):
-    c = T.constant(_u(rng, 3, 4))
+    c = T.Tensor(_u(rng, 3, 4))
     leaves = {"a": _u(rng, 3, 4), "b": _u(rng, 4)}
     return lambda t: T.sum_all(T.mul(T.add(t["a"], t["b"]), c)), leaves
 
 
 @prim
 def _case_sub(rng):
-    c = T.constant(_u(rng, 2, 5))
+    c = T.Tensor(_u(rng, 2, 5))
     leaves = {"a": _u(rng, 2, 5), "b": _u(rng, 2, 1)}
     return lambda t: T.sum_all(T.mul(T.sub(t["a"], t["b"]), c)), leaves
 
 
 @prim
 def _case_mul(rng):
-    c = T.constant(_u(rng, 3, 4))
+    c = T.Tensor(_u(rng, 3, 4))
     leaves = {"a": _u(rng, 3, 4), "b": _u(rng, 1, 4)}
     return lambda t: T.sum_all(T.mul(T.mul(t["a"], t["b"]), c)), leaves
 
 
 @prim
 def _case_scale(rng):
-    c = T.constant(_u(rng, 4, 3))
+    c = T.Tensor(_u(rng, 4, 3))
     leaves = {"a": _u(rng, 4, 3)}
     return lambda t: T.sum_all(T.mul(T.scale(t["a"], 0.37), c)), leaves
 
 
 @prim
 def _case_neg(rng):
-    c = T.constant(_u(rng, 2, 6))
+    c = T.Tensor(_u(rng, 2, 6))
     leaves = {"a": _u(rng, 2, 6)}
     return lambda t: T.sum_all(T.mul(T.neg(t["a"]), c)), leaves
 
 
 @prim
 def _case_matmul(rng):
-    c = T.constant(_u(rng, 2, 3, 5))
+    c = T.Tensor(_u(rng, 2, 3, 5))
     leaves = {"a": _u(rng, 2, 3, 4), "b": _u(rng, 4, 5)}
     return lambda t: T.sum_all(T.mul(T.matmul(t["a"], t["b"]), c)), leaves
 
 
 @prim
 def _case_relu(rng):
-    c = T.constant(_u(rng, 3, 5))
+    c = T.Tensor(_u(rng, 3, 5))
     leaves = {"a": _off_zero(rng, 3, 5)}
     return lambda t: T.sum_all(T.mul(T.relu(t["a"]), c)), leaves
 
 
 @prim
 def _case_reshape(rng):
-    c = T.constant(_u(rng, 6, 2))
+    c = T.Tensor(_u(rng, 6, 2))
     leaves = {"a": _u(rng, 3, 4)}
     return lambda t: T.sum_all(T.mul(T.reshape(t["a"], (6, 2)), c)), leaves
 
 
 @prim
 def _case_transpose(rng):
-    c = T.constant(_u(rng, 3, 2, 4))
+    c = T.Tensor(_u(rng, 3, 2, 4))
     leaves = {"a": _u(rng, 2, 3, 4)}
     return lambda t: T.sum_all(T.mul(T.transpose(t["a"], (1, 0, 2)), c)), leaves
 
@@ -128,21 +130,21 @@ def _case_sum_all(rng):
 
 @prim
 def _case_softmax(rng):
-    c = T.constant(_u(rng, 3, 7))
+    c = T.Tensor(_u(rng, 3, 7))
     leaves = {"a": _u(rng, 3, 7)}
     return lambda t: T.sum_all(T.mul(T.softmax(t["a"]), c)), leaves
 
 
 @prim
 def _case_log_softmax(rng):
-    c = T.constant(_u(rng, 2, 9))
+    c = T.Tensor(_u(rng, 2, 9))
     leaves = {"a": _u(rng, 2, 9)}
     return lambda t: T.sum_all(T.mul(T.log_softmax(t["a"]), c)), leaves
 
 
 @prim
 def _case_layernorm(rng):
-    c = T.constant(_u(rng, 2, 3, 8))
+    c = T.Tensor(_u(rng, 2, 3, 8))
     leaves = {"x": _u(rng, 2, 3, 8), "g": _u(rng, 8), "b": _u(rng, 8)}
     return lambda t: T.sum_all(T.mul(T.layernorm(t["x"], t["g"], t["b"]), c)), leaves
 
@@ -151,7 +153,7 @@ def _case_layernorm(rng):
 def _case_embedding(rng):
     ids = rng.integers(0, 9, size=(2, 4))
     ids[0, 1] = ids[1, 2]  # force a repeated row so gradients accumulate
-    c = T.constant(_u(rng, 2, 4, 5))
+    c = T.Tensor(_u(rng, 2, 4, 5))
     leaves = {"tab": _u(rng, 9, 5)}
     return lambda t: T.sum_all(T.mul(T.embedding(t["tab"], ids), c)), leaves
 
@@ -159,13 +161,13 @@ def _case_embedding(rng):
 @prim
 def _case_take_along_last(rng):
     idx = rng.integers(0, 6, size=(2, 4, 3))
-    c = T.constant(_u(rng, 2, 4, 3))
+    c = T.Tensor(_u(rng, 2, 4, 3))
     leaves = {"a": _u(rng, 2, 4, 6)}
     return lambda t: T.sum_all(T.mul(T.take_along_last(t["a"], idx), c)), leaves
 
 
 def _attention_case(rng, lq, lk, mask):
-    c = T.constant(_u(rng, 2, lq, 4))
+    c = T.Tensor(_u(rng, 2, lq, 4))
     leaves = {"q": _u(rng, 2, lq, 4), "k": _u(rng, 2, lk, 4), "v": _u(rng, 2, lk, 4)}
     return (lambda t: T.sum_all(T.mul(T.attention(t["q"], t["k"], t["v"], 2, mask), c)),
             leaves)
@@ -213,7 +215,7 @@ def _case_masked_mean_nll_two_groups(rng):
 
 def _sublayer_case(rng, lq, mask, cross=False, bank_rows=None):
     # H = 4 in 2 heads; a bank has 3 rows, of which `bank_rows` are used
-    c = T.constant(_u(rng, 2, lq, 4))
+    c = T.Tensor(_u(rng, 2, lq, 4))
     leaves = {"x": _u(rng, 2, lq, 4), "g": 1.0 + 0.3 * _u(rng, 4), "b": _u(rng, 4)}
     for n in ("wq", "wk", "wv"):
         leaves[n] = _u(rng, 4, 4)
@@ -263,7 +265,7 @@ def _case_attention_sublayer_two_row_groups(rng):
 
 @prim
 def _case_ffn_sublayer(rng):
-    c = T.constant(_u(rng, 2, 3, 4))
+    c = T.Tensor(_u(rng, 2, 3, 4))
     leaves = {"x": _u(rng, 2, 3, 4), "g": 1.0 + 0.3 * _u(rng, 4), "b": _u(rng, 4),
               "w1": _u(rng, 4, 6), "b1": _u(rng, 6), "w2": _u(rng, 6, 4), "b2": _u(rng, 4)}
 
@@ -272,6 +274,32 @@ def _case_ffn_sublayer(rng):
         return T.sum_all(T.mul(out, c))
 
     return build, leaves
+
+
+# shapes the cases above leave out; last, so the draws above stay as they were
+
+
+@prim
+def _case_matmul_batched(rng):
+    c = T.Tensor(_u(rng, 2, 3, 2))
+    leaves = {"a": _u(rng, 2, 3, 4), "b": _u(rng, 2, 4, 2)}
+    return lambda t: T.sum_all(T.mul(T.matmul(t["a"], t["b"]), c)), leaves
+
+
+@prim
+def _case_matmul_2d(rng):
+    c = T.Tensor(_u(rng, 3, 8))
+    leaves = {"a": _u(rng, 3, 6), "b": _u(rng, 6, 8)}
+    return lambda t: T.sum_all(T.mul(T.matmul(t["a"], t["b"]), c)), leaves
+
+
+@prim
+def _case_take_along_last_repeated(rng):
+    idx = rng.integers(0, 6, size=(4, 3))
+    idx[0, 0] = idx[0, 1]  # a repeated gather within a row accumulates
+    c = T.Tensor(_u(rng, 4, 3))
+    leaves = {"a": _u(rng, 4, 6)}
+    return lambda t: T.sum_all(T.mul(T.take_along_last(t["a"], idx), c)), leaves
 
 
 def _loss_cfg():
@@ -286,7 +314,7 @@ def _fd_one_leaf(build_loss, cfg, seed, name):
     grads = T.backward(loss, base.tensors)
 
     def f(x):
-        probe = base.copy()
+        probe = ModelParams(base.arrays)
         probe.arrays[name][:] = x
         return float(build_loss(probe).data)
 

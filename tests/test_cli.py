@@ -212,6 +212,15 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--override", "seed=1"]])
+def test_config_root_that_is_no_object_exits_2(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[]")
+    assert main(["train-vocab", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--quiet"] + flag) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     assert main(["train-vocab", "--out", str(tmp_path / "o"),
                  "--override", "stge1.steps=3"]) == 2

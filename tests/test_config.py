@@ -106,6 +106,8 @@ def test_benchmark_section_checked():
     ("dev_lines", "150"), ("test_lines", None), ("seed", 1.0),
     ("vocab_types", 50.0), ("len_min", False), ("len_max", 9.5),
     ("noise_dropout", True), ("noise_dropout", "0.1"),
+    ("targets", [1]), ("targets", {"xa": 5}), ("base_name", 5), ("auxiliaries", 5),
+    ("auxiliaries", ["aa", 1]),
 ])
 def test_benchmark_section_types_checked(key, val):
     # the benchmark section is a plain dict that config's field types never
@@ -118,6 +120,7 @@ def test_benchmark_section_types_checked(key, val):
     {"xa": {"window": 2, "cognates": {"aa": "0.4"}}},
     {"xa": {"window": 2, "cognates": {"aa": True}}},
     {"xa": {"window": 2.5, "cognates": {"aa": 0.4}}},
+    {"xa": {"window": 2, "cognates": [1]}},
 ])
 def test_benchmark_target_types_checked(targets):
     with pytest.raises(ConfigError, match="target xa"):

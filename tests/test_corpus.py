@@ -267,15 +267,27 @@ def test_manifest_rejects_wrong_format(tmp_path):
         load_manifest(p2)
 
 
+MONO = {"id": "d1", "kind": "mono", "lang": "en", "path": "m.txt"}
+PARALLEL = {"id": "p1", "kind": "parallel", "src": "en", "tgt": "en", "src_path": "s.txt",
+            "tgt_path": "t.txt"}
+
+
 @pytest.mark.parametrize("doc, match", [
     ([], "not a munmt-manifest document"),
     ({"languages": [1]}, "bad or duplicate language entry"),
     ({"languages": [{"name": ["en"]}]}, "bad or duplicate language entry"),
     ({"datasets": {"d1": {}}}, "must be lists"),
-], ids=["list-root", "number-language", "list-name", "dict-datasets"])
+    ({"datasets": [dict(MONO, id=["d1"])]}, "bad or duplicate dataset id"),
+    ({"datasets": [dict(MONO, lang=["en"])]}, "needs a known lang and a path"),
+    ({"datasets": [dict(MONO, path=7)]}, "needs a known lang and a path"),
+    ({"datasets": [dict(PARALLEL, src={"en": 1})]}, "has unknown languages"),
+    ({"datasets": [dict(PARALLEL, tgt_path=True)]}, "needs src_path and tgt_path"),
+], ids=["list-root", "number-language", "list-name", "dict-datasets", "list-id", "list-lang",
+        "int-path", "dict-src", "bool-path"])
 def test_manifest_parts_that_are_not_objects_rejected(tmp_path, doc, match):
     if isinstance(doc, dict):
-        doc = {"format": "munmt-manifest", "version": 1, **doc}
+        doc = {"format": "munmt-manifest", "version": 1,
+               "languages": [{"name": "en", "english": True}], **doc}
     p = tmp_path / "m.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match=match):

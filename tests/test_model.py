@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from munmt import tensor as T
+import chain as T
+from munmt import tensor
 from munmt.errors import ConfigError, DataError, NumericError
 from munmt.objectives import cross_entropy_loss
 from munmt.model import (
@@ -182,7 +183,7 @@ def test_causal_masking_via_gradients():
     h = _decoder_stack(params, cfg, enc_out, mask, dec_emb, (1,))
     pick = np.zeros((1, 4, cfg.hidden))
     pick[0, 1, :] = 1.0  # position 1 outputs only
-    loss = T.sum_all(T.mul(h, T.constant(pick)))
+    loss = T.sum_all(T.mul(h, T.Tensor(pick)))
     g = T.backward(loss, {"dec_emb": dec_emb})["dec_emb"]
     assert np.max(np.abs(g[0, 2:, :])) == 0.0
     assert np.max(np.abs(g[0, :2, :])) > 0.0
@@ -287,10 +288,10 @@ def test_teacher_forced_loss_graph_stays_fused(monkeypatch):
     params = init_params(cfg, seed=13)
     made = {"attention_sublayer": [], "ffn_sublayer": []}
     for kind, out in made.items():
-        def recorded(*args, _real=getattr(T, kind), _out=out, **kw):
+        def recorded(*args, _real=getattr(tensor, kind), _out=out, **kw):
             _out.append(_real(*args, **kw))
             return _out[-1]
-        monkeypatch.setattr(T, kind, recorded)
+        monkeypatch.setattr(tensor, kind, recorded)
     src = [np.asarray([5, 6, 7]), np.asarray([8, 9])]
     tgt = [np.asarray([10, 11]), np.asarray([12, 13, 14])]
     nodes = _graph_nodes(cross_entropy_loss(params, cfg, src, tgt, "xa"))
@@ -308,22 +309,8 @@ def test_teacher_forced_loss_graph_stays_fused(monkeypatch):
                          ["g", "b", "w1", "b1", "w2", "b2"]), names
 
 
-def _chain_ln(P, name, x):
-    return T.layernorm(x, P[f"{name}.g"], P[f"{name}.b"])
-
-
-def _chain_ffn(P, ln, name, x):
-    h = T.relu(T.add(T.matmul(_chain_ln(P, ln, x), P[f"{name}.w1"]), P[f"{name}.b1"]))
-    return T.add(x, T.add(T.matmul(h, P[f"{name}.w2"]), P[f"{name}.b2"]))
-
-
-def _chain_attn(P, ln, name, wo, x, heads, mask, kv=None, memory=None):
-    h = _chain_ln(P, ln, x)
-    if kv is None:
-        m = h if memory is None else memory
-        kv = T.matmul(m, P[f"{name}.wk"]), T.matmul(m, P[f"{name}.wv"])
-    a = T.attention(T.matmul(h, P[f"{name}.wq"]), *kv, heads, mask)
-    return T.add(x, T.matmul(a, wo))
+def _w(P, name, keys):
+    return tuple(P[f"{name}.{k}"] for k in keys.split())
 
 
 def _chained_step_logits(params, cfg, src, prefix, lang):
@@ -336,9 +323,10 @@ def _chained_step_logits(params, cfg, src, prefix, lang):
               T.embedding(P["pos_emb"], np.arange(src.shape[1])))
     for i in range(cfg.layers):
         p = f"enc.{i}"
-        x = _chain_attn(P, f"{p}.ln1", f"{p}.attn", P[f"{p}.attn.wo"], x, heads, mask)
-        x = _chain_ffn(P, f"{p}.ln2", f"{p}.ffn", x)
-    enc = _chain_ln(P, "enc.final_ln", x)
+        x = T.chained_attention_sublayer(x, _w(P, f"{p}.ln1", "g b"),
+                                         _w(P, f"{p}.attn", "wq wk wv wo"), heads, mask)
+        x = T.chained_ffn_sublayer(x, _w(P, f"{p}.ln2", "g b"), *_w(P, f"{p}.ffn", "w1 b1 w2 b2"))
+    enc = T.layernorm(x, *_w(P, "enc.final_ln", "g b"))
     store = DecoderCache(params, cfg, enc, prefix.shape[1])  # storage only
     li = cfg.lang_index(lang)
     steps = []
@@ -348,15 +336,15 @@ def _chained_step_logits(params, cfg, src, prefix, lang):
         y = T.add(y, T.embedding(P["lang_emb"], li))
         for i in range(cfg.layers):
             p = f"dec.{i}"
-            h = _chain_ln(P, f"{p}.ln1", y)
-            kv = store.extend(i, T.matmul(h, P[f"{p}.self.wk"]).data,
-                              T.matmul(h, P[f"{p}.self.wv"]).data)
-            y = _chain_attn(P, f"{p}.ln1", f"{p}.self", T.embedding(P[f"{p}.self.wo_bank"], li),
-                            y, heads, None, kv=tuple(map(T.constant, kv)))
-            y = _chain_attn(P, f"{p}.ln2", f"{p}.cross", T.embedding(P[f"{p}.cross.wo_bank"], li),
-                            y, heads, mask, memory=enc)
-            y = _chain_ffn(P, f"{p}.ln3", f"{p}.ffn", y)
-        y = _chain_ln(P, "dec.final_ln", y)
+            y = T.chained_attention_sublayer(
+                y, _w(P, f"{p}.ln1", "g b"), _w(P, f"{p}.self", "wq wk wv wo_bank"), heads,
+                bank_rows=(li,), kv=lambda k, v, i=i: store.extend(i, k, v))
+            y = T.chained_attention_sublayer(
+                y, _w(P, f"{p}.ln2", "g b"), _w(P, f"{p}.cross", "wq wk wv wo_bank"), heads,
+                mask, memory=enc, bank_rows=(li,))
+            y = T.chained_ffn_sublayer(y, _w(P, f"{p}.ln3", "g b"),
+                                       *_w(P, f"{p}.ffn", "w1 b1 w2 b2"))
+        y = T.layernorm(y, *_w(P, "dec.final_ln", "g b"))
         steps.append(T.matmul(y, T.transpose(P["tok_emb"], (1, 0))).data)
     return steps
 

@@ -15,7 +15,6 @@ from munmt.objectives import (
     cross_translation_loss,
     draw_mask_spec,
     mass_loss,
-    mass_loss_for_spec,
     sequence_nll,
 )
 from munmt.rng import named_rng
@@ -33,7 +32,7 @@ def small_cfg(**kw):
 
 def test_sequence_nll_uniform_two_way_is_ln2():
     # two classes, equal logits: -log p = ln 2 per token, hand arithmetic
-    logits = T.constant(np.zeros((1, 3, 2)))
+    logits = T.Tensor(np.zeros((1, 3, 2)))
     targets = np.asarray([[1, 1, 1]])
     loss = sequence_nll(logits, targets)
     assert float(loss.data) == pytest.approx(np.log(2.0), rel=1e-12)
@@ -43,7 +42,7 @@ def test_sequence_nll_excludes_pad_positions():
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(2, 4, 7))
     targets = np.asarray([[5, 6, PAD, PAD], [5, PAD, PAD, PAD]])
-    loss = float(sequence_nll(T.constant(raw), targets).data)
+    loss = float(sequence_nll(T.Tensor(raw), targets).data)
     # independent per-token computation
     want = []
     for b in range(2):
@@ -60,13 +59,13 @@ def test_sequence_nll_one_hot_drives_to_zero():
     logits = np.full((1, 2, 5), -30.0)
     logits[0, 0, 3] = 30.0
     logits[0, 1, 4] = 30.0
-    loss = sequence_nll(T.constant(logits), np.asarray([[3, 4]]))
+    loss = sequence_nll(T.Tensor(logits), np.asarray([[3, 4]]))
     assert float(loss.data) < 1e-8
 
 
 def test_sequence_nll_empty_batch_rejected():
     with pytest.raises(DataError):
-        sequence_nll(T.constant(np.zeros((1, 2, 5))), np.asarray([[PAD, PAD]]))
+        sequence_nll(T.Tensor(np.zeros((1, 2, 5))), np.asarray([[PAD, PAD]]))
 
 
 def test_zeroed_model_gives_log_vocab():
@@ -200,9 +199,8 @@ def test_mass_loss_equals_ce_on_masked_input():
     cfg = small_cfg()
     params = init_params(cfg, seed=5, dtype=np.float64)
     ids = np.asarray([5, 6, 7, 8, 9, 10], dtype=np.int32)
-    spec = MaskSpec(2, 3)
-    masked, seg = apply_mask(ids, spec)
-    a = float(mass_loss_for_spec(params, cfg, ids, "xa", spec).data)
+    masked, seg = apply_mask(ids, draw_mask_spec(ids.size, named_rng(3, "m")))
+    a = float(mass_loss(params, cfg, [ids], "xa", named_rng(3, "m")).data)
     b = float(cross_entropy_loss(params, cfg, [masked], [seg], "xa").data)
     assert a == b
 

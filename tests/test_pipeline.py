@@ -15,7 +15,7 @@ from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
                           Stage3Spec, StageSpec, SyntheticSpec)
 from munmt.corpus import load_manifest, read_lines, save_manifest
 from munmt.errors import ConfigError, DataError, NumericError
-from munmt.model import init_params
+from munmt.model import ModelParams, init_params
 from munmt.pipeline import (ArmOptions, build_context,
                             check_manifest_compat, generate_synthetic,
                             predict_sweep, run_algorithm1,
@@ -83,7 +83,7 @@ def test_zero_steps_is_a_passthrough(env):
     ctx = ctx_at(env, "zero")
     _, datasets = ctx.registry()
     params = init_params(ctx.model_cfg, 7)
-    before = params.copy()
+    before = ModelParams(params.arrays)
     spec = StageSpec(steps=0, lr=LrSpec(peak=5e-4, warmup=2, total=12))
     ck = run_algorithm1(ctx, params, datasets, "stage1", spec, "1")
     assert ck.step == 0
@@ -251,7 +251,7 @@ def test_stage2_trains_synthetic_in_its_labeled_direction_only(synth):
     wanted = [d for d in datasets if d.id in ("mono.xa", "synth.r1.en-xa")]
     assert len(wanted) == 2
     spec = StageSpec(steps=8, lr=LrSpec(peak=5e-4, warmup=2, total=12))
-    run_algorithm1(ctx, params.copy(), wanted, "stage2a", spec, "2a")
+    run_algorithm1(ctx, ModelParams(params.arrays), wanted, "stage2a", spec, "2a")
     rows = read_audit(os.path.join(ctx.out_dir, "audit.stage2a.tsv"))
     objs = set(r[2] for r in rows)
     assert objs <= {"mass", "ce"}
@@ -403,7 +403,7 @@ def test_stage3_zero_sweeps_passes_params_through(env):
     cfg.stage3 = Stage3Spec(sweeps=0, eval_every=0, max_tokens=256, max_len=16)
     ctx = ctx_at(env, "s3zero", cfg=cfg, arm=REAL_ONLY)
     params = init_params(ctx.model_cfg, 5)
-    before = params.copy()
+    before = ModelParams(params.arrays)
     ck = run_stage3(ctx, params)
     assert ck.step == 0
     assert params_equal(params, before)
@@ -413,7 +413,7 @@ def test_stage3_logs_skips_and_leaves_params_alone(env, monkeypatch):
     ctx = ctx_at(env, "s3skip", arm=ArmOptions(use_synthetic=False,
                                                stage3_objectives=("bt", "ct")))
     params = init_params(ctx.model_cfg, 5)
-    before = params.copy()
+    before = ModelParams(params.arrays)
     monkeypatch.setattr(objectives, "greedy_decode_batch",
                         lambda p, c, ids, lang, max_len=32: [[] for _ in ids])
     run_stage3(ctx, params)
@@ -443,7 +443,7 @@ def test_stage3_early_stop_restores_the_best_params(env, monkeypatch):
     scores = iter([10.0, 5.0, 4.0])
 
     def fake_eval(_ctx, params, _sets):
-        seen.append(params.copy())
+        seen.append(ModelParams(params.arrays))
         return next(scores), []
 
     monkeypatch.setattr(pipe, "_mean_bleu", fake_eval)

@@ -26,7 +26,6 @@ from munmt.synthlang import (
     oracle_translate,
     to_base,
     window_reverse,
-    zipf_ks_distance,
     zipf_probs,
 )
 from munmt.tokenizer import train_bpe
@@ -131,6 +130,12 @@ def test_base_corpus_deterministic_and_in_range():
         assert 3 <= len(line.split()) <= 7
     c = gen_base_corpus(CorpusSpec(30, 3, 7, 200, seed=6))
     assert c != a
+
+
+def zipf_ks_distance(counts) -> float:
+    """KS distance between empirical rank frequencies and the Zipf target."""
+    emp = np.cumsum(counts / counts.sum())
+    return float(np.max(np.abs(emp - np.cumsum(zipf_probs(len(counts))))))
 
 
 def test_unigram_distribution_matches_zipf():
