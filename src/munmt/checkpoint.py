@@ -28,10 +28,11 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import OPTIMIZERS
+from .config import OPTIMIZERS, type_problems
 from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ModelParams, count_params, param_shapes
 from .optim import OptimState
@@ -42,11 +43,24 @@ PREAMBLE = struct.Struct("<4sHI")  # magic, version, header length
 DIGEST_SIZE = 32
 
 STAGES = ("1", "2a", "2b", "3")
-HEADER_TYPES = {"stage": str, "step": int, "vocab_digest": str,
-                "config_digest": str, "meta": dict, "optimizer": (dict, type(None))}
-OPTIMIZER_TYPES = {"kind": str, "step": int}
-GEOMETRY_TYPES = {"languages": list, "vocab_size": int, "layers": int, "hidden": int,
-                  "ffn": int, "heads": int, "max_positions": int}
+
+
+@dataclass
+class _OptimizerHeader:
+    kind: str
+    step: int
+
+
+@dataclass
+class _Header:
+    """The JSON header, as it is written and as a load requires it."""
+
+    stage: str
+    step: int
+    vocab_digest: str
+    config_digest: str
+    optimizer: _OptimizerHeader | None
+    meta: dict
 
 
 class Checkpoint:
@@ -66,26 +80,22 @@ class Checkpoint:
         self.meta = dict(meta or {})
 
 
-def _wrong_types(doc: dict, types: dict) -> list:
-    """The keys of `doc` whose value is not of the type `types` gives it."""
-    return [k for k, kind in types.items() if k in doc and (
-        not isinstance(doc[k], kind) or (kind is int and isinstance(doc[k], bool)))]
+def _check(path, doc, tp, where: str) -> None:
+    """Refuse `doc` unless it names every field of `tp`, and only those,
+    each of its declared type."""
+    if bad := type_problems(tp, doc, where, complete=True):
+        raise CheckpointError(f"{path}: " + "; ".join(bad))
 
 
 def _geometry(path, meta: dict) -> ModelConfig:
     """The model geometry in `meta`, checked field by field; nothing is
     built per layer here."""
-    geom = meta.get("model")
-    if not isinstance(geom, dict):
+    if "model" not in meta:
         raise CheckpointError(f"{path}: meta names no model geometry")
-    if geom.keys() != GEOMETRY_TYPES.keys():
-        raise CheckpointError(f"{path}: bad model geometry in meta (fields "
-                              f"{sorted(geom)}, not {sorted(GEOMETRY_TYPES)})")
-    if bad := _wrong_types(geom, GEOMETRY_TYPES):
-        raise CheckpointError(f"{path}: model geometry fields of the wrong type: {bad}")
+    _check(path, meta["model"], ModelConfig, "meta.model")
     try:
-        return ModelConfig(**geom).validate()
-    except (TypeError, ConfigError) as e:
+        return ModelConfig(**meta["model"]).validate()
+    except ConfigError as e:
         raise CheckpointError(f"{path}: bad model geometry in meta ({e})") from None
 
 
@@ -102,17 +112,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         if o.m.shape != flat.shape or o.v.shape != flat.shape:
             raise CheckpointError(f"{path}: optimizer moments are not laid out "
                                   "like the parameters")
-        opt_header = {"kind": o.kind, "step": o.step}
+        opt_header = _OptimizerHeader(o.kind, o.step)
         buffers += [o.m, o.v]
-    header = {
-        "stage": ckpt.stage,
-        "step": ckpt.step,
-        "vocab_digest": ckpt.vocab_digest,
-        "config_digest": ckpt.config_digest,
-        "optimizer": opt_header,
-        "meta": ckpt.meta,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = _Header(ckpt.stage, ckpt.step, ckpt.vocab_digest, ckpt.config_digest,
+                     opt_header, ckpt.meta)
+    blob = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
     chunks = [PREAMBLE.pack(MAGIC, VERSION, len(blob)), blob]
     chunks += [np.ascontiguousarray(b, dtype="<f4") for b in buffers]
     digest = hashlib.sha256()
@@ -158,28 +162,20 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
         header = json.loads(bytes(body[PREAMBLE.size:PREAMBLE.size + hlen]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})") from None
-    if not isinstance(header, dict) or not {"stage", "step", "meta"} <= header.keys():
-        raise CheckpointError(f"{path}: header lacks stage, step or meta")
-    if bad := _wrong_types(header, HEADER_TYPES):
-        raise CheckpointError(f"{path}: header fields of the wrong type: {bad}")
+    _check(path, header, _Header, "header")
 
-    if expect_vocab_digest is not None and header.get("vocab_digest") != expect_vocab_digest:
+    if expect_vocab_digest is not None and header["vocab_digest"] != expect_vocab_digest:
         raise CheckpointError(
             f"{path}: vocab digest mismatch "
-            f"(file {header.get('vocab_digest')!r}, active {expect_vocab_digest!r})")
-    if expect_config_digest is not None and header.get("config_digest") != expect_config_digest:
+            f"(file {header['vocab_digest']!r}, active {expect_vocab_digest!r})")
+    if expect_config_digest is not None and header["config_digest"] != expect_config_digest:
         raise CheckpointError(
             f"{path}: config digest mismatch "
-            f"(file {header.get('config_digest')!r}, active {expect_config_digest!r})")
+            f"(file {header['config_digest']!r}, active {expect_config_digest!r})")
 
-    oh = header.get("optimizer")
-    if oh is not None:
-        if missing := [k for k in OPTIMIZER_TYPES if k not in oh]:
-            raise CheckpointError(f"{path}: optimizer header missing {missing}")
-        if bad := _wrong_types(oh, OPTIMIZER_TYPES):
-            raise CheckpointError(f"{path}: optimizer fields of the wrong type: {bad}")
-        if oh["kind"] not in OPTIMIZERS:
-            raise CheckpointError(f"{path}: unknown optimizer kind {oh['kind']!r}")
+    oh = header["optimizer"]
+    if oh is not None and oh["kind"] not in OPTIMIZERS:
+        raise CheckpointError(f"{path}: unknown optimizer kind {oh['kind']!r}")
     geom = _geometry(path, header["meta"])
     n = count_params(geom)
     want = 4 * n * (1 if oh is None else 3)
@@ -195,5 +191,4 @@ def load_checkpoint(path, expect_vocab_digest: str | None = None,
                          v=floats[2 * n:].astype(np.float32), step=oh["step"])
 
     return Checkpoint(params, opt, header["stage"], header["step"],
-                      header.get("vocab_digest", ""), header.get("config_digest", ""),
-                      header["meta"])
+                      header["vocab_digest"], header["config_digest"], header["meta"])

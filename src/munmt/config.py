@@ -13,10 +13,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .synthlang import BenchmarkConfig
-from .tokenizer import read_json
+from .tokenizer import file_digest, read_json
 
 SCHEMA_VERSION = 1
 OPTIMIZERS = ("adam", "adamax")
@@ -148,7 +150,7 @@ class ExperimentConfig:
     batch_size: int = 8
     p_parallel: float = 0.5
     temperature: float = 5.0
-    pivots: dict = field(default_factory=lambda: {"xa": ["aa"]})
+    pivots: dict[str, list[str]] = field(default_factory=lambda: {"xa": ["aa"]})
     benchmark: dict = field(default_factory=dict)  # synthlang.BenchmarkConfig fields
     manifest: str | None = None  # filled in by synth-data, or points at real data
     testsets: str | None = None
@@ -181,9 +183,6 @@ class ExperimentConfig:
         if not self.pivots:
             bad.append("pivots must name at least one target language")
         for t, pl in self.pivots.items():
-            if not isinstance(pl, list) or not all(isinstance(a, str) for a in pl):
-                bad.append(f"pivots.{t} must be a list of language names")
-                continue
             if not pl:
                 bad.append(f"pivots.{t} must list at least one auxiliary language")
             if t in pl:
@@ -196,60 +195,91 @@ class ExperimentConfig:
         self.synthetic.validate("synthetic", bad)
         self.eval.validate("eval", bad)
         if self.benchmark or self.manifest is None:  # the run generates it
-            try:
-                bench = BenchmarkConfig(out_dir="_probe", **self.benchmark).validate()
-                if bench.max_line_pieces > self.piece_limit:
-                    bad.append(f"benchmark lines can reach {bench.max_line_pieces} "
-                               f"pieces, over the run's {self.piece_limit}-piece limit "
-                               "(max_pieces, or model.max_positions - 2)")
-            except (ConfigError, TypeError) as e:
-                bad.append(f"benchmark: {e}")
+            # a plain dict, so its types are checked here rather than by
+            # from_dict; the run chooses out_dir
+            types_bad = type_problems(BenchmarkConfig, self.benchmark, "benchmark",
+                                      skip=("out_dir",))
+            bad += types_bad
+            if not types_bad:
+                try:
+                    bench = BenchmarkConfig(out_dir="_probe", **self.benchmark).validate()
+                except ConfigError as e:
+                    bad.append(f"benchmark: {e}")
+                else:
+                    if bench.max_line_pieces > self.piece_limit:
+                        bad.append(f"benchmark lines can reach {bench.max_line_pieces} "
+                                   f"pieces, over the run's {self.piece_limit}-piece "
+                                   "limit (max_pieces, or model.max_positions - 2)")
         if bad:
             raise ConfigError(bad)
         return self
 
 
-def _scalar_ok(ann: str, val) -> bool:
-    """Type gate for untrusted (file/override) values, keyed on the field's
-    annotation string. Bools are not ints here, unlike in Python."""
-    ann = ann.strip()
-    if ann == "bool":
-        return isinstance(val, bool)
-    if ann == "int":
-        return isinstance(val, int) and not isinstance(val, bool)
-    if ann == "float":  # finite: JSON reads NaN, which passes any `< 0` check
-        return (isinstance(val, (int, float)) and not isinstance(val, bool)
-                and abs(val) <= sys.float_info.max)
-    if ann == "str":
-        return isinstance(val, str)
-    if ann == "dict":
-        return isinstance(val, dict)
-    if ann in ("str | None", "None | str"):
-        return val is None or isinstance(val, str)
-    return True
+_KINDS = {int: "an int", float: "a finite float", str: "a string", bool: "a bool",
+          dict: "an object", list: "a list"}
 
 
-def _build(default, doc, where: str, bad: list):
+def type_problems(tp, val, where: str = "", skip=(), complete: bool = False) -> list:
+    """What keeps the JSON value `val` from having the type `tp`, a field
+    annotation, one line per problem naming its dotted path `where`:
+
+    - `int` (a bool is not one), a finite `float` (an int is one), `str`,
+      `bool`, a bare `dict` or `list`, and `X | None`;
+    - `list[T]` and `dict[str, T]`, item by item;
+    - a dataclass, as an object of its fields (other than `skip`), each of
+      its field's type. A key that names no field is a problem, and so is a
+      missing field when `complete` is set, here and in nested dataclasses.
+
+    The config, its benchmark section and checkpoint headers are checked by
+    this alone."""
+    if is_dataclass(tp):
+        if not isinstance(val, dict):
+            return [f"{where} must be an object, got {val!r}"]
+        hints = get_type_hints(tp)
+        names = [f.name for f in fields(tp) if f.init and f.name not in skip]
+        bad = [f"unknown key {_join(where, k)}" for k in val if k not in names]
+        for name in names:
+            if name in val:
+                bad += type_problems(hints[name], val[name], _join(where, name),
+                                     complete=complete)
+            elif complete:
+                bad.append(f"{_join(where, name)} is missing")
+        return bad
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        inner, = (a for a in args if a is not NoneType)
+        return [] if val is None else type_problems(inner, val, where, complete=complete)
+    if not _is_kind(origin or tp, val):
+        return [f"{where} must be {_KINDS[origin or tp]}, got {val!r}"]
+    if origin is list:
+        return [p for i, v in enumerate(val)
+                for p in type_problems(args[0], v, f"{where}[{i}]", complete=complete)]
+    if origin is dict:
+        return [p for k, v in val.items()
+                for p in type_problems(args[1], v, _join(where, k), complete=complete)]
+    return []
+
+
+def _is_kind(kind, val) -> bool:
+    if kind is bool or isinstance(val, bool):  # a bool is only a bool
+        return kind is bool and isinstance(val, bool)
+    if kind is float:  # finite: JSON reads NaN, which passes any `< 0` check
+        return isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
+    return isinstance(val, kind)
+
+
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _build(default, doc: dict):
     """A copy of `default` with the keys `doc` gives replaced. A field whose
     default is a dataclass is built the same way from that default, so a
     partial section keeps the defaults of the keys it omits."""
-    if not isinstance(doc, dict):
-        bad.append(f"{where} must be an object")
-        return default
-    known = {f.name: f for f in fields(default)}
-    kwargs = {}
-    for key, val in doc.items():
-        path = f"{where}.{key}" if where else key
-        if key not in known:
-            bad.append(f"unknown key {path}")
-        elif is_dataclass(getattr(default, key)):
-            kwargs[key] = _build(getattr(default, key), val, path, bad)
-        elif not _scalar_ok(known[key].type, val):
-            want = "a finite float" if known[key].type == "float" else known[key].type
-            bad.append(f"{path} must be {want}, got {val!r}")
-        else:
-            kwargs[key] = val
-    return replace(default, **kwargs)
+    return replace(default, **{
+        key: _build(getattr(default, key), val)
+        if is_dataclass(getattr(default, key)) else val
+        for key, val in doc.items()})
 
 
 def from_dict(doc: dict) -> ExperimentConfig:
@@ -259,12 +289,12 @@ def from_dict(doc: dict) -> ExperimentConfig:
     doc = dict(doc)
     bad = []
     version = doc.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION or not _scalar_ok("int", version):
+    if version != SCHEMA_VERSION or type_problems(int, version):
         bad.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    cfg = _build(ExperimentConfig(), doc, "", bad)
+    bad += type_problems(ExperimentConfig, doc)
     if bad:
         raise ConfigError(bad)
-    return cfg.validate()
+    return _build(ExperimentConfig(), doc).validate()
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
@@ -326,15 +356,6 @@ def apply_overrides(doc: dict, overrides) -> dict:
     return doc
 
 
-def file_digest(path) -> str:
-    """The first 16 hex digits of the sha256 of a file's bytes."""
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:16]
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-
-
 def config_digest(cfg: ExperimentConfig) -> str:
     """The digest of the config a run trains under. The manifest and testsets
     files count by the digest of their bytes, not by their paths, so the same
@@ -342,6 +363,6 @@ def config_digest(cfg: ExperimentConfig) -> str:
     doc = to_dict(cfg)
     for key in DATA_PATH_KEYS:
         if doc[key] is not None:
-            doc[key] = file_digest(doc[key])
+            doc[key] = file_digest(doc[key])[:16]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -45,22 +45,6 @@ class Dataset:
         return len(self.items)
 
 
-@dataclass
-class SamplingPolicy:
-    p_parallel: float = 0.5
-    temperature: float = 5.0
-
-    def validate(self):
-        bad = []
-        if not (0.0 <= self.p_parallel <= 1.0):
-            bad.append(f"p_parallel must be in [0,1], got {self.p_parallel}")
-        if not (self.temperature > 0):
-            bad.append(f"temperature must be > 0, got {self.temperature}")
-        if bad:
-            raise ConfigError(bad)
-        return self
-
-
 def temperature_weights(sizes, temperature: float = 5.0) -> np.ndarray:
     """Sampling weights proportional to (n_i / sum n)^(1/T), normalized."""
     sizes = np.asarray(sizes, dtype=np.float64)
@@ -72,11 +56,13 @@ def temperature_weights(sizes, temperature: float = 5.0) -> np.ndarray:
     return w / w.sum()
 
 
-def choose_dataset(registry, policy: SamplingPolicy, rng: np.random.Generator) -> Dataset:
-    """Pick the dataset for one stage-1/2 update."""
+def choose_dataset(registry, p_parallel: float, temperature: float,
+                   rng: np.random.Generator) -> Dataset:
+    """Pick the dataset for one stage-1/2 update: the parallel branch with
+    probability `p_parallel`, weighted at `temperature` there."""
     mono = [d for d in registry if d.kind == "mono"]
     parallel = [d for d in registry if d.kind == "parallel"]
-    take_parallel = rng.random() < policy.p_parallel
+    take_parallel = rng.random() < p_parallel
     pool = parallel if take_parallel else mono
     if not pool:
         raise DataError(
@@ -84,7 +70,7 @@ def choose_dataset(registry, policy: SamplingPolicy, rng: np.random.Generator) -
             "but that pool is empty"
         )
     if take_parallel:
-        weights = temperature_weights([d.size for d in pool], policy.temperature)
+        weights = temperature_weights([d.size for d in pool], temperature)
         idx = int(rng.choice(len(pool), p=weights))
     else:
         idx = int(rng.integers(0, len(pool)))

@@ -29,7 +29,7 @@ class ModelConfig(ModelSpec):
     """The config's model section plus what the data fixes: the languages
     and the vocabulary size."""
 
-    languages: list  # language names; index order defines embedding rows
+    languages: list[str]  # index order defines embedding rows
     vocab_size: int
 
     def validate(self):

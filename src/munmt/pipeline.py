@@ -19,9 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import (DATA_PATH_KEYS, ExperimentConfig, config_digest,
-                     file_digest, to_dict)
-from .corpus import (SamplingPolicy, bucket_batches, build_registry,
+from .config import DATA_PATH_KEYS, ExperimentConfig, config_digest, to_dict
+from .corpus import (bucket_batches, build_registry,
                      choose_dataset, draw_batch, entry_problems, load_dataset,
                      load_manifest, resolve_paths, write_json)
 from .errors import ConfigError, DataError, NumericError
@@ -32,8 +31,8 @@ from .objectives import (back_translation_loss, cross_entropy_loss,
 from .optim import OptimState, lr_at, optimizer_step
 from .rng import named_rng
 from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
-from .tokenizer import (read_json, read_lines, read_text, save_vocab, train_bpe,
-                        vocab_digest, write_lines)
+from .tokenizer import (file_digest, read_json, read_lines, read_text, save_vocab,
+                        train_bpe, write_lines)
 
 STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
 
@@ -215,7 +214,6 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
         raise ConfigError(f"run_algorithm1 got stage tag {stage_tag!r}")
     if start_step < 0 or start_step > spec.steps:
         raise ConfigError(f"start_step {start_step} outside [0, {spec.steps}]")
-    policy = SamplingPolicy(ctx.cfg.p_parallel, ctx.cfg.temperature).validate()
     if opt is None:
         opt = OptimState.init(params, kind=spec.optimizer)
     bad = []
@@ -227,7 +225,7 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
     def updates():
         for t in range(start_step, spec.steps):
             rng = named_rng(ctx.cfg.seed, f"{label}:step{t}")
-            ds = choose_dataset(datasets, policy, rng)
+            ds = choose_dataset(datasets, ctx.cfg.p_parallel, ctx.cfg.temperature, rng)
             batch = draw_batch(ds, ctx.cfg.batch_size, rng)
             if ds.kind == "mono":
                 loss = mass_loss(params, mcfg, batch, ds.lang, rng)
@@ -613,7 +611,7 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     mcfg = ModelConfig(languages=[l.name for l in languages],
                        vocab_size=vocab.size, **asdict(cfg.model)).validate()
     return RunContext(cfg, mcfg, vocab, languages, entries, out_dir,
-                      vocab_digest(vocab_path), config_digest(cfg), quiet, arm)
+                      file_digest(vocab_path), config_digest(cfg), quiet, arm)
 
 
 def _report(ctx, params, test_sets, label, scores):
@@ -656,7 +654,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     summary = {"stages": scores, "best_dev": ck.meta.get("best_dev"),
                "vocab_digest": ctx.vocab_digest,
                "config_digest": ctx.config_digest,
-               "manifest_digest": file_digest(ctx.cfg.manifest)}
+               "manifest_digest": file_digest(ctx.cfg.manifest)[:16]}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     save_run_meta(out_dir, started)
     return summary

@@ -170,14 +170,6 @@ def encode_line(vocab: Vocab, text: str) -> np.ndarray:
     return np.asarray(ids, dtype=np.int32)
 
 
-def encode(vocab: Vocab, text: str) -> np.ndarray:
-    """Text -> piece ids, as encode_line, but an empty line is an error."""
-    ids = encode_line(vocab, text)
-    if not ids.size:
-        raise DataError("cannot encode an empty line")
-    return ids
-
-
 def decode(vocab: Vocab, ids) -> str:
     ids = np.asarray(ids).reshape(-1)
     out = []
@@ -285,6 +277,11 @@ def load_vocab(path) -> Vocab:
     return Vocab(pieces=pieces, merges=merges)
 
 
-def vocab_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def file_digest(path) -> str:
+    """The sha256 of a file's bytes, in hex. A vocabulary is known by all 64
+    digits, a config and a manifest by the first 16."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from None

@@ -24,7 +24,7 @@ from munmt.checkpoint import load_checkpoint
 from munmt.cli import main as cli_main
 from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
                           Stage3Spec, StageSpec, SyntheticSpec)
-from munmt.corpus import Dataset, SamplingPolicy, choose_dataset
+from munmt.corpus import Dataset, choose_dataset
 from munmt.evaluation import bleu, tokenize_13a
 from munmt.model import NEG, ModelConfig, ModelParams, init_params
 from munmt.objectives import (MaskSpec, back_translation_loss,
@@ -398,10 +398,9 @@ def test_c3_sampler_conformance():
         ds("par.d", "parallel", 100),
         ds("par.e", "parallel", 10),
     ]
-    policy = SamplingPolicy(p_parallel=0.5, temperature=5.0).validate()
     rng = named_rng(0, "acceptance:sampler")
     n = 100_000
-    counts = Counter(choose_dataset(registry, policy, rng).id for _ in range(n))
+    counts = Counter(choose_dataset(registry, 0.5, 5.0, rng).id for _ in range(n))
 
     par_total = (counts["par.d"] + counts["par.e"]) / n
     assert abs(par_total - 0.5) <= 0.01

@@ -101,7 +101,7 @@ def test_wrongly_sized_second_moment_rejected(tmp_path):
 
 @pytest.mark.parametrize("key, value, match", [
     ("kind", None, "missing"), ("step", None, "missing"),
-    ("kind", "sgd", "unknown optimizer kind"), ("step", "3", "wrong type"),
+    ("kind", "sgd", "unknown optimizer kind"), ("step", "3", r"header\.optimizer\.step"),
 ], ids=["kind-None", "step-None", "kind-sgd", "step-3"])
 def test_untrusted_optimizer_header_rejected(tmp_path, key, value, match):
     """A missing key, an unknown kind, or a step that is no integer: the
@@ -197,7 +197,7 @@ def test_header_field_of_the_wrong_type_rejected(tmp_path, key, value):
     p = tmp_path / "w.ckpt"
     _save(p, step=3)
     _rewrite_header(p, lambda header: header.update({key: value}))
-    with pytest.raises(CheckpointError, match="wrong type"):
+    with pytest.raises(CheckpointError, match=rf"header\.{key} must be"):
         load_checkpoint(p)
 
 
@@ -228,7 +228,7 @@ def test_geometry_field_of_the_wrong_type_rejected(tmp_path, value):
     p = tmp_path / "gt.ckpt"
     _save(p)
     _rewrite_header(p, lambda h: h["meta"]["model"].update(hidden=value))
-    with pytest.raises(CheckpointError, match="geometry fields of the wrong type"):
+    with pytest.raises(CheckpointError, match=r"meta\.model\.hidden must be an int"):
         load_checkpoint(p)
 
 
@@ -245,7 +245,24 @@ def test_missing_geometry_rejected(tmp_path):
         load_checkpoint(p)
     _save(p)
     _rewrite_header(p, lambda h: h["meta"]["model"].pop("ffn"))
-    with pytest.raises(CheckpointError, match="bad model geometry"):
+    with pytest.raises(CheckpointError, match=r"meta\.model\.ffn is missing"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h.pop("config_digest"), r"header\.config_digest is missing"),
+    (lambda h: h.update(extra=1), r"unknown key header\.extra"),
+    (lambda h: h["meta"]["model"].update(depth=2), r"unknown key meta\.model\.depth"),
+    (lambda h: h["meta"]["model"].update(languages=["en", 1]),
+     r"meta\.model\.languages\[1\] must be a string"),
+], ids=["missing-digest", "unknown-key", "unknown-geometry-key", "language-not-str"])
+def test_header_names_exactly_its_fields(tmp_path, edit, match):
+    """Every header and geometry field must be there, and nothing else:
+    no default fills in a missing one."""
+    p = tmp_path / "x.ckpt"
+    _save(p)
+    _rewrite_header(p, edit)
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(p)
 
 

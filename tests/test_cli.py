@@ -8,7 +8,6 @@ import shutil
 import pytest
 
 from munmt import corpus, pipeline
-from munmt.checkpoint import load_checkpoint
 from munmt.cli import _single_aux_arm, main
 from munmt.config import apply_overrides, from_dict
 
@@ -177,6 +176,32 @@ def test_fractional_benchmark_line_count_exits_2(tmp_path, capsys, val):
                  "--override", f"benchmark.mono_lines={val}"])
     assert code == 2
     assert "mono_lines must be an int" in capsys.readouterr().err
+    assert not (out / "benchmark").exists()
+
+
+@pytest.mark.parametrize("override, path", [
+    ("benchmark.targets.xa.foo=1", "benchmark.targets.xa.foo"),
+    ("benchmark.out_dir=x", "benchmark.out_dir"),
+], ids=["target-key", "out_dir"])
+def test_unknown_benchmark_key_exits_2_naming_it(tmp_path, capsys, override, path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CFG_DOC))
+    out = tmp_path / "o"
+    assert main(["train-vocab", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                 "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unknown key {path}" in err
+    assert not out.exists()
+
+
+def test_benchmark_bounds_checked_before_anything_is_written(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CFG_DOC))
+    out = tmp_path / "o"
+    assert main(["train-vocab", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                 "--override", "benchmark.len_min=9",
+                 "--override", "benchmark.len_max=4"]) == 2
+    assert "len_min <= len_max" in capsys.readouterr().err
     assert not (out / "benchmark").exists()
 
 

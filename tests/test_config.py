@@ -91,6 +91,10 @@ def test_pivot_validation():
         from_dict({"pivots": {"xa": []}})
     with pytest.raises(ConfigError):
         from_dict({"pivots": {"xa": ["xa"]}})
+    for pivots, path in (([], "pivots"), ({"xa": "aa"}, "pivots.xa"),
+                         ({"xa": ["aa", 1]}, r"pivots\.xa\[1\]")):
+        with pytest.raises(ConfigError, match=path):
+            from_dict({"pivots": pivots})
 
 
 def test_benchmark_section_checked():
@@ -108,11 +112,13 @@ def test_benchmark_section_checked():
     ("noise_dropout", True), ("noise_dropout", "0.1"),
     ("targets", [1]), ("targets", {"xa": 5}), ("base_name", 5), ("auxiliaries", 5),
     ("auxiliaries", ["aa", 1]),
+    ("out_dir", "x"), ("targets", {"xa": {"foo": 1}}), ("targets", {"xa": None}),
 ])
 def test_benchmark_section_types_checked(key, val):
-    # the benchmark section is a plain dict that config's field types never
-    # see, so its own validate must refuse a float count or a bool
-    with pytest.raises(ConfigError, match=key):
+    # the benchmark section stays a plain dict, checked against
+    # BenchmarkConfig's field types: a float count, a bool, an unknown key
+    # and out_dir, which the run chooses, are refused by their dotted path
+    with pytest.raises(ConfigError, match=rf"benchmark\.{key}"):
         from_dict({"benchmark": {key: val}})
 
 
@@ -121,9 +127,11 @@ def test_benchmark_section_types_checked(key, val):
     {"xa": {"window": 2, "cognates": {"aa": True}}},
     {"xa": {"window": 2.5, "cognates": {"aa": 0.4}}},
     {"xa": {"window": 2, "cognates": [1]}},
+    {"xa": {"window": 2, "cognates": {"aa": 0.4}, "foo": 1}},
+    {"xa": {"window": None}},
 ])
 def test_benchmark_target_types_checked(targets):
-    with pytest.raises(ConfigError, match="target xa"):
+    with pytest.raises(ConfigError, match=r"benchmark\.targets\.xa\."):
         from_dict({"benchmark": {"targets": targets}})
 
 

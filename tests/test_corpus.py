@@ -8,7 +8,6 @@ import pytest
 from munmt.corpus import (
     Dataset,
     LanguageId,
-    SamplingPolicy,
     bucket_batches,
     build_registry,
     choose_dataset,
@@ -74,14 +73,14 @@ def test_choose_dataset_p_parallel_zero_and_one():
     reg = [mono("m", 10), para("p", 10)]
     rng = named_rng(1, "t")
     for _ in range(50):
-        assert choose_dataset(reg, SamplingPolicy(0.0, 5.0), rng).id == "m"
-        assert choose_dataset(reg, SamplingPolicy(1.0, 5.0), rng).id == "p"
+        assert choose_dataset(reg, 0.0, 5.0, rng).id == "m"
+        assert choose_dataset(reg, 1.0, 5.0, rng).id == "p"
 
 
 def test_choose_dataset_empty_branch_error():
     rng = named_rng(1, "t")
     with pytest.raises(DataError):
-        choose_dataset([mono("m", 5)], SamplingPolicy(1.0, 5.0), rng)
+        choose_dataset([mono("m", 5)], 1.0, 5.0, rng)
 
 
 def test_choose_dataset_frequencies():
@@ -89,11 +88,10 @@ def test_choose_dataset_frequencies():
     # temperature weights of sizes [100, 10]
     reg = [mono("m1", 50), mono("m2", 950), para("p1", 100), para("p2", 10)]
     rng = named_rng(7, "freq")
-    policy = SamplingPolicy(0.5, 5.0)
     counts = {"m1": 0, "m2": 0, "p1": 0, "p2": 0}
     n = 100_000
     for _ in range(n):
-        counts[choose_dataset(reg, policy, rng).id] += 1
+        counts[choose_dataset(reg, 0.5, 5.0, rng).id] += 1
     par = counts["p1"] + counts["p2"]
     assert par / n == pytest.approx(0.5, abs=0.01)
     assert counts["p1"] / par == pytest.approx(0.613, abs=0.01)

@@ -9,7 +9,6 @@ from bleu_oracle import ORACLE_CASES, oracle_bleu
 from munmt import evaluation as ev
 from munmt.errors import ConfigError, DataError
 from munmt.evaluation import (
-    BleuScore,
     bleu,
     evaluate_model,
     format_report,
@@ -19,7 +18,7 @@ from munmt.evaluation import (
     write_report,
 )
 from munmt.model import ModelConfig, init_params
-from munmt.tokenizer import EOS, train_bpe, encode
+from munmt.tokenizer import EOS, train_bpe
 
 
 # --- tokenizer rules ---

@@ -20,7 +20,6 @@ from munmt.model import (
     forward_logits,
     greedy_decode_batch,
     init_params,
-    param_shapes,
     src_key_mask,
     strip_body,
 )

@@ -18,7 +18,7 @@ from munmt.objectives import (
     sequence_nll,
 )
 from munmt.rng import named_rng
-from munmt.tokenizer import BOS, EOS, MASK, PAD
+from munmt.tokenizer import EOS, MASK, PAD
 
 LANGS = ["en", "xa", "aa"]
 

@@ -1,7 +1,6 @@
 """Toy language generator: oracle exactness, Zipf shape, benchmark layout."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from munmt.synthlang import (
     BenchmarkConfig,
     CorpusSpec,
     TargetSpec,
-    base_surfaces,
     build_benchmark,
     derive_sentence,
     gen_base_corpus,
@@ -171,15 +169,6 @@ def test_markov_wrinkle_adds_context_dependence():
 def test_ks_helper_zero_on_exact_counts():
     counts = zipf_probs(25) * 1e6
     assert zipf_ks_distance(counts) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_corpus_spec_validation():
-    with pytest.raises(ConfigError):
-        CorpusSpec(5, 1, 4, 10, 0).validate()  # vocab too small for the tail
-    with pytest.raises(ConfigError):
-        CorpusSpec(30, 0, 4, 10, 0).validate()
-    with pytest.raises(ConfigError):
-        CorpusSpec(30, 5, 4, 10, 0).validate()
 
 
 # --- benchmark ---
@@ -347,6 +336,17 @@ def test_config_violations_rejected(tmp_path):
         small_cfg(tmp_path, targets={"xa": TargetSpec(window=1)}).validate()
     with pytest.raises(ConfigError):
         small_cfg(tmp_path, auxiliaries=[]).validate()
+
+
+def test_corpus_bounds_rejected(tmp_path):
+    """The base corpus bounds are the benchmark's, checked before anything
+    is generated."""
+    with pytest.raises(ConfigError, match="vocab_types must be >= 12"):
+        small_cfg(tmp_path, vocab_types=5).validate()  # too small for the tail
+    with pytest.raises(ConfigError, match="len_min <= len_max"):
+        small_cfg(tmp_path, len_min=0).validate()
+    with pytest.raises(ConfigError, match="len_min <= len_max"):
+        small_cfg(tmp_path, len_min=5, len_max=4).validate()
 
 
 def test_targets_accept_plain_dicts(tmp_path):

@@ -17,16 +17,14 @@ from munmt.tokenizer import (
     PAD,
     SPECIAL_PIECES,
     UNK,
-    Vocab,
     decode,
-    encode,
     encode_line,
+    file_digest,
     load_vocab,
     normalize,
     read_lines,
     save_vocab,
     train_bpe,
-    vocab_digest,
     write_lines,
 )
 
@@ -94,7 +92,7 @@ def test_merge_count_matches_requested_size():
     # once every word is a single piece there is nothing left to merge
     for line in corpus:
         assert all(
-            len(encode(small, w)) == 1 for w in line.split()
+            len(encode_line(small, w)) == 1 for w in line.split()
         )
 
 
@@ -120,7 +118,7 @@ def test_roundtrip_corpus_lines():
     corpus = ["the cat sat on the mat", "a dog ran", "cat and dog and cat"]
     v = train_bpe(corpus, vocab_size=48)
     for line in corpus:
-        ids = encode(v, line)
+        ids = encode_line(v, line)
         assert ids.dtype == np.int32
         assert decode(v, ids) == normalize(line)
         assert len(ids) >= 1
@@ -128,14 +126,14 @@ def test_roundtrip_corpus_lines():
 
 def test_unknown_character_becomes_unk():
     v = train_bpe(["ab ab"], vocab_size=12)
-    assert UNK in encode(v, "aZb").tolist()
+    assert UNK in encode_line(v, "aZb").tolist()
 
 
-def test_encode_empty_rejected():
+def test_blank_line_encodes_to_no_ids():
     v = train_bpe(["ab"], vocab_size=10)
-    with pytest.raises(DataError):
-        encode(v, "   ")
-    assert encode_line(v, " \t ").tolist() == []
+    for blank in ("", "   ", " \t "):
+        ids = encode_line(v, blank)
+        assert ids.dtype == np.int32 and ids.tolist() == []
 
 
 def test_decode_bad_id_rejected():
@@ -151,8 +149,8 @@ def test_determinism_same_inputs():
     a = train_bpe(corpus, vocab_size=42)
     b = train_bpe(list(corpus), vocab_size=42)
     assert a.pieces == b.pieces and a.merges == b.merges
-    ea = encode(a, "some other words")
-    eb = encode(b, "some other words")
+    ea = encode_line(a, "some other words")
+    eb = encode_line(b, "some other words")
     assert ea.tolist() == eb.tolist()
 
 
@@ -172,7 +170,7 @@ def test_roundtrip_property(lines):
         norm = normalize(line)
         if not norm:
             continue
-        assert decode(v, encode(v, line)) == norm
+        assert decode(v, encode_line(v, line)) == norm
 
 
 def test_vocab_file_roundtrip(tmp_path):
@@ -185,8 +183,14 @@ def test_vocab_file_roundtrip(tmp_path):
     assert w.pieces == v.pieces
     assert w.merges == v.merges
     text = "the river run"
-    assert encode(w, text).tolist() == encode(v, text).tolist()
-    assert isinstance(vocab_digest(p), str) and len(vocab_digest(p)) == 64
+    assert encode_line(w, text).tolist() == encode_line(v, text).tolist()
+    assert isinstance(file_digest(p), str) and len(file_digest(p)) == 64
+
+
+def test_unreadable_file_digest_is_a_data_error(tmp_path):
+    missing = tmp_path / "vocab.txt"
+    with pytest.raises(DataError, match=re.escape(str(missing))):
+        file_digest(missing)
 
 
 def test_vocab_file_corruption_detected(tmp_path):
@@ -230,5 +234,5 @@ def test_a_last_line_without_newline_counts(tmp_path):
 
 def test_marker_is_single_char_and_restores_spaces():
     v = train_bpe(["aa bb", "bb aa"], vocab_size=20)
-    assert decode(v, encode(v, "aa bb")) == "aa bb"
+    assert decode(v, encode_line(v, "aa bb")) == "aa bb"
     assert len(MARKER) == 1

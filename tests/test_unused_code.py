@@ -1,12 +1,15 @@
 """`src/` holds only what runs: every top-level function and class of
 `src/munmt/*.py` and `bench/*.py`, and every non-dunder method, is referenced
-outside its own definition in those files, as a name, an attribute or an
-import. Code only the tests call belongs with the tests.
+outside its own definition in those files. Code only the tests call belongs
+with the tests.
 
-The check matches names, not bindings: a homonym elsewhere counts as a
-reference, so a function named `reshape` passes on any `ndarray.reshape`,
-and a method named `copy` on any `.copy()`. It catches names nothing
-mentions, not every dead definition.
+A top-level name counts as referenced only through a binding that reaches
+it: its bare name in its own module, an import of it (`from .tokenizer
+import encode_line`), or an attribute of a name bound to its module
+(`tok.encode_line` after `from . import tokenizer as tok`). So a call of
+`model.encode` or of `str.encode` does not count for a function named
+`encode` in another module. Methods are matched by name, so a method named
+`copy` passes on any `.copy()`.
 """
 
 import ast
@@ -24,37 +27,92 @@ ALLOWED = {
 }
 
 
-def _references(node) -> Counter:
-    refs = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            refs[n.id] += 1
-        elif isinstance(n, ast.Attribute):
-            refs[n.attr] += 1
-        elif isinstance(n, ast.alias):
-            refs[n.name.rsplit(".", 1)[-1]] += 1
+def _modules() -> dict:
+    """{module name: parsed tree}: src/munmt/x.py is munmt.x, and bench/x.py,
+    which runs with bench/ on sys.path, is x."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(REPO, "src", "munmt", "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        found["munmt" if name == "__init__" else f"munmt.{name}"] = path
+    for path in sorted(glob.glob(os.path.join(REPO, "bench", "*.py"))):
+        found[os.path.splitext(os.path.basename(path))[0]] = path
+    trees = {}
+    for module, path in found.items():
+        with open(path, encoding="utf-8") as fh:
+            trees[module] = ast.parse(fh.read())
+    return trees
+
+
+def _absolute(module: str, node: ast.ImportFrom) -> str:
+    """The module an ImportFrom in `module` reads from."""
+    if not node.level:
+        return node.module
+    package = module if module == "munmt" else module.rsplit(".", node.level)[0]
+    return f"{package}.{node.module}" if node.module else package
+
+
+def _module_refs(module: str, tree, modules) -> Counter:
+    """(module, name) pairs that `module` reaches through imports and the
+    names it binds to modules."""
+    refs, aliases = Counter(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    aliases[a.asname] = a.name
+                else:  # `import munmt.x` binds munmt
+                    aliases[a.name.split(".")[0]] = a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            source = _absolute(module, node)
+            for a in node.names:
+                if f"{source}.{a.name}" in modules:
+                    aliases[a.asname or a.name] = f"{source}.{a.name}"
+                else:
+                    refs[source, a.name] += 1
+
+    def module_of(expr):
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            outer = module_of(expr.value)
+            if outer and f"{outer}.{expr.attr}" in modules:
+                return f"{outer}.{expr.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (owner := module_of(node.value)):
+            refs[owner, node.attr] += 1
     return refs
 
 
-def _definitions(tree):
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
-        if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
-                        and not (m.name.startswith("__") and m.name.endswith("__")))
+def _names(node) -> Counter:
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+
+
+def _attrs_and_names(node) -> Counter:
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.id
+                   for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name)))
 
 
 def test_every_definition_is_referenced():
-    paths = sorted(glob.glob(os.path.join(REPO, "src", "munmt", "*.py"))
-                   + glob.glob(os.path.join(REPO, "bench", "*.py")))
-    trees = {}
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            trees[os.path.relpath(path, REPO)] = ast.parse(fh.read())
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
-    unused = {d.name: path for path, tree in trees.items() for d in _definitions(tree)
-              if refs[d.name] == _references(d)[d.name] and not d.name.startswith("test_")}
+    trees = _modules()
+    imported = sum((_module_refs(m, t, trees) for m, t in trees.items()), Counter())
+    by_name = sum((_attrs_and_names(t) for t in trees.values()), Counter())
+    unused = {}
+    for module, tree in trees.items():
+        own = _names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if own[node.name] == _names(node)[node.name] and not imported[module, node.name]:
+                unused[node.name] = module
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if (isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))
+                            and by_name[m.name] == _attrs_and_names(m)[m.name]):
+                        unused[m.name] = module
     # pytest, not the code, calls bench's test_ functions; an allowed name
     # that gains a caller leaves the list
+    unused = {n: m for n, m in unused.items() if not n.startswith("test_")}
     assert sorted(unused) == sorted(ALLOWED), unused
