@@ -6,13 +6,12 @@ seed; see ``munmt.cli`` for the command surface.
 
 from .config import ExperimentConfig, load_config
 from .errors import CheckpointError, ConfigError, DataError, NumericError
-from .pipeline import ArmOptions, run_pipeline
+from .pipeline import run_pipeline
 from .synthlang import BenchmarkConfig, build_benchmark
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmOptions",
     "BenchmarkConfig",
     "CheckpointError",
     "ConfigError",

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import OPTIMIZERS, type_problems
+from .config import OPTIMIZERS, STAGES, type_problems
 from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ModelParams, count_params, param_shapes
 from .optim import OptimState
@@ -41,8 +41,6 @@ MAGIC = b"MUNM"
 VERSION = 2
 PREAMBLE = struct.Struct("<4sHI")  # magic, version, header length
 DIGEST_SIZE = 32
-
-STAGES = ("1", "2a", "2b", "3")
 
 
 @dataclass
@@ -69,7 +67,7 @@ class Checkpoint:
     def __init__(self, params: ModelParams, opt: OptimState | None, stage: str,
                  step: int, vocab_digest: str = "", config_digest: str = "",
                  meta: dict | None = None):
-        if stage not in STAGES:
+        if stage not in STAGES.values():
             raise CheckpointError(f"unknown stage tag {stage!r}")
         self.params = params
         self.opt = opt

@@ -3,7 +3,10 @@
 Commands compose through the artifact directory, not through hidden state:
 each one rebuilds its context (benchmark, vocabulary, model geometry)
 deterministically from the config, picks up checkpoints by their well-known
-filenames, and verifies digests on every load. Exit codes: 0 success,
+filenames, and verifies digests on every load. Without --from, a command
+starts from the checkpoint of the stage before its own in config.STAGES
+(synth-bt --round n: before the stage round n feeds; evaluate: the last);
+ablate runs the pipeline as one of pipeline.ARMS. Exit codes: 0 success,
 2 configuration, 3 data/checkpoint, 4 numeric failure, 5 I/O.
 """
 
@@ -15,37 +18,14 @@ import sys
 import time
 from dataclasses import asdict
 
-from .config import apply_overrides, from_dict, read_config_doc
+from .config import STAGES, apply_overrides, from_dict, read_config_doc
 from .checkpoint import load_checkpoint
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaluation import format_report, write_report
-from .pipeline import (STAGE_TAGS, ArmOptions, _load_eval_sets, _mean_bleu,
-                       build_context, generate_benchmark, generate_synthetic, run_pipeline,
+from .pipeline import (ARMS, _load_eval_sets, _mean_bleu, build_context, entries_path,
+                       generate_benchmark, generate_synthetic, run_pipeline,
                        run_stage1, run_stage2, run_stage3, save_resolved_config,
-                       save_run_meta, synthetic_rounds)
-
-ARMS = ("no-synthetic", "single-aux", "bt-only")
-
-DEFAULT_FROM = {("synth-bt", "1"): "stage1.ckpt",
-                ("synth-bt", "2"): "stage2a.ckpt",
-                ("stage2", "a"): "stage1.ckpt",
-                ("stage2", "b"): "stage2a.ckpt",
-                ("stage3", None): "stage2b.ckpt",
-                ("evaluate", None): "stage3.ckpt"}
-
-
-def _config(args):
-    doc = read_config_doc(args.config) if args.config else {}
-    doc = apply_overrides(doc, args.override)
-    if args.seed is not None:
-        doc["seed"] = args.seed  # --seed wins over every --override
-    return from_dict(doc)
-
-
-def _context(args):
-    ctx = build_context(_config(args), args.out, quiet=args.quiet)
-    save_resolved_config(ctx.cfg, ctx.out_dir)
-    return ctx
+                       save_run_meta)
 
 
 def _check_geometry(ctx, path, ck):
@@ -68,25 +48,23 @@ def _resume_ckpt(ctx, path, label):
     ck = _check_geometry(ctx, path, load_checkpoint(
         path, expect_vocab_digest=ctx.vocab_digest,
         expect_config_digest=ctx.config_digest))
-    if ck.stage != STAGE_TAGS[label]:
+    if ck.stage != STAGES[label]:
         raise CheckpointError(
             f"{path}: a stage {ck.stage!r} checkpoint cannot resume {label}")
     return ck
 
 
-def _from_path(args, command, variant=None):
-    if getattr(args, "src", None):
-        return args.src
-    return os.path.join(args.out, DEFAULT_FROM[(command, variant)])
+def _from_path(args, label=None):
+    """--from, or the checkpoint of the stage before `label` (None: the last)."""
+    labels = list(STAGES) + [None]
+    return args.src or os.path.join(args.out, f"{labels[labels.index(label) - 1]}.ckpt")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_synth_data(args):
-    started = time.time()
-    cfg = _config(args)
+def cmd_synth_data(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     if cfg.manifest:
         print(f"config already names a manifest: {cfg.manifest}")
@@ -95,22 +73,14 @@ def cmd_synth_data(args):
         save_resolved_config(cfg, args.out)
         print(f"manifest: {cfg.manifest}")
         print(f"testsets: {cfg.testsets}")
-    save_run_meta(args.out, started, command="synth-data")
-    return 0
 
 
-def cmd_train_vocab(args):
-    started = time.time()
-    ctx = _context(args)
+def cmd_train_vocab(args, ctx):
     print(f"vocab: {os.path.join(args.out, 'vocab.txt')} "
           f"({ctx.vocab.size} pieces, digest {ctx.vocab_digest})")
-    save_run_meta(args.out, started, command="train-vocab")
-    return 0
 
 
-def cmd_stage1(args):
-    started = time.time()
-    ctx = _context(args)
+def cmd_stage1(args, ctx):
     if args.resume:
         ck = _resume_ckpt(ctx, args.resume, "stage1")
         final = run_stage1(ctx, ck.params, opt=ck.opt, start_step=ck.step)
@@ -118,57 +88,42 @@ def cmd_stage1(args):
         final = run_stage1(ctx)
     print(f"stage1 done at step {final.step}: "
           f"{os.path.join(args.out, 'stage1.ckpt')}")
-    save_run_meta(args.out, started, command="stage1")
-    return 0
 
 
-def cmd_synth_bt(args):
-    started = time.time()
-    ctx = _context(args)
-    ck = _load_ckpt(ctx, _from_path(args, "synth-bt", args.round))
-    entries = generate_synthetic(ctx, ck.params, int(args.round))
+def cmd_synth_bt(args, ctx):
+    n = int(args.round)
+    ck = _load_ckpt(ctx, _from_path(args, list(STAGES)[n]))  # round 1 feeds stage2a
+    entries = generate_synthetic(ctx, ck.params, n)
     print(f"round {args.round}: {len(entries)} synthetic datasets under "
           f"{os.path.join(args.out, 'synthetic')}")
-    save_run_meta(args.out, started, command="synth-bt")
-    return 0
 
 
-def cmd_stage2(args):
-    started = time.time()
-    ctx = _context(args)
+def cmd_stage2(args, ctx):
     label = f"stage2{args.round}"
     if args.resume:
         ck = _resume_ckpt(ctx, args.resume, label)
         final = run_stage2(ctx, ck.params, label, opt=ck.opt, start_step=ck.step)
     else:
-        ck = _load_ckpt(ctx, _from_path(args, "stage2", args.round))
+        ck = _load_ckpt(ctx, _from_path(args, label))
         final = run_stage2(ctx, ck.params, label)
     print(f"{label} done at step {final.step}: "
           f"{os.path.join(args.out, label + '.ckpt')}")
-    save_run_meta(args.out, started, command=label)
-    return 0
 
 
-def cmd_stage3(args):
-    started = time.time()
-    ctx = _context(args)
-    if not os.path.exists(synthetic_rounds(ctx, "r2")[2]):
+def cmd_stage3(args, ctx):
+    if not os.path.exists(entries_path(ctx, 2)):
         ctx.say("[stage3] no round-2 entries file; running as the no-synthetic arm")
-        ctx.arm = ArmOptions(use_synthetic=False)
+        ctx.arm = "no-synthetic"
     ck = _load_ckpt(ctx, _from_path(args, "stage3"))
     final = run_stage3(ctx, ck.params)
     print(f"stage3 done after {final.meta['sweeps_run']} sweeps: "
           f"{os.path.join(args.out, 'stage3.ckpt')}")
-    save_run_meta(args.out, started, command="stage3")
-    return 0
 
 
-def cmd_evaluate(args):
-    started = time.time()
-    ctx = _context(args)
+def cmd_evaluate(args, ctx):
     if not ctx.cfg.testsets:
         raise ConfigError("config names no testsets file; nothing to evaluate on")
-    src = _from_path(args, "evaluate")
+    src = _from_path(args)
     ck = _load_ckpt(ctx, src)
     sets = _load_eval_sets(ctx.cfg.testsets, args.split)
     _, rows = _mean_bleu(ctx, ck.params, sets)
@@ -177,52 +132,14 @@ def cmd_evaluate(args):
                  os.path.join(args.out, f"report.{stem}.{args.split}.tsv"),
                  os.path.join(args.out, f"report.{stem}.{args.split}.json"))
     print(format_report(rows), end="")
-    save_run_meta(args.out, started, command="evaluate")
-    return 0
 
 
-def _print_summary(summary, quiet):
-    if quiet:
-        return
-    for label in ("stage1", "stage2a", "stage2b", "stage3"):
-        scores = summary["stages"].get(label)
-        if scores:
+def cmd_pipeline(args, cfg):
+    summary = run_pipeline(cfg, args.out, quiet=args.quiet, arm=args.arm)
+    if not args.quiet:
+        for label, scores in summary["stages"].items():
             line = " ".join(f"{d}={s:.2f}" for d, s in sorted(scores.items()))
             print(f"{label}: {line}")
-
-
-def cmd_pipeline(args):
-    summary = run_pipeline(_config(args), args.out, quiet=args.quiet)
-    _print_summary(summary, args.quiet)
-    return 0
-
-
-def _single_aux_arm(cfg):
-    """Keep exactly one auxiliary's parallel data (the alphabetically first
-    pivot); every pivot list shrinks to it. Fails if some target never
-    listed that auxiliary."""
-    all_pivots = sorted({a for pl in cfg.pivots.values() for a in pl})
-    keep = all_pivots[0]
-    bad = [t for t, pl in cfg.pivots.items() if keep not in pl]
-    if bad:
-        raise ConfigError(
-            f"single-aux arm keeps {keep!r}, but targets {bad} do not pivot "
-            "through it")
-    cfg.pivots = {t: [keep] for t in cfg.pivots}
-    return ArmOptions(keep_aux=keep)
-
-
-def cmd_ablate(args):
-    cfg = _config(args)
-    if args.arm == "no-synthetic":
-        arm = ArmOptions(use_synthetic=False)
-    elif args.arm == "bt-only":
-        arm = ArmOptions(stage3_objectives=("bt",))
-    else:
-        arm = _single_aux_arm(cfg)
-    summary = run_pipeline(cfg, args.out, quiet=args.quiet, arm=arm)
-    _print_summary(summary, args.quiet)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +199,37 @@ def _build_parser():
 
     sp = sub.add_parser("pipeline", parents=[common],
                         help="run every stage end to end")
-    sp.set_defaults(func=cmd_pipeline)
+    sp.set_defaults(func=cmd_pipeline, arm=None)
 
     sp = sub.add_parser("ablate", parents=[common],
                         help="run the pipeline with one component removed")
     sp.add_argument("--arm", choices=ARMS, required=True)
-    sp.set_defaults(func=cmd_ablate)
+    sp.set_defaults(func=cmd_pipeline)
     return p
 
 
 def main(argv=None) -> int:
+    """Run one command on the config (synth-data, pipeline, ablate) or on the
+    context build_context makes of it, record run_meta.json under its name
+    unless run_pipeline wrote it, and map the errors it raises to exit codes."""
     args = _build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args) or 0
+        doc = apply_overrides(read_config_doc(args.config) if args.config else {},
+                              args.override)
+        if args.seed is not None:
+            doc["seed"] = args.seed  # --seed wins over every --override
+        cfg = from_dict(doc)
+        if args.func in (cmd_synth_data, cmd_pipeline):
+            args.func(args, cfg)
+        else:
+            ctx = build_context(cfg, args.out, quiet=args.quiet)
+            save_resolved_config(ctx.cfg, ctx.out_dir)
+            args.func(args, ctx)
+        if args.func is not cmd_pipeline:
+            command = f"stage2{args.round}" if args.command == "stage2" else args.command
+            save_run_meta(args.out, started, command=command)
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

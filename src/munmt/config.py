@@ -142,6 +142,10 @@ class ModelSpec:
             bad.append(f"{where}.max_positions must be >= 2")
 
 
+# The run's stages in order: label (config section, file names) -> checkpoint tag
+STAGES = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -188,10 +192,8 @@ class ExperimentConfig:
             if t in pl:
                 bad.append(f"pivots.{t} lists the target itself")
         self.model.validate("model", bad)
-        self.stage1.validate("stage1", bad)
-        self.stage2a.validate("stage2a", bad)
-        self.stage2b.validate("stage2b", bad)
-        self.stage3.validate("stage3", bad)
+        for label in STAGES:
+            getattr(self, label).validate(label, bad)
         self.synthetic.validate("synthetic", bad)
         self.eval.validate("eval", bad)
         if self.benchmark or self.manifest is None:  # the run generates it
@@ -234,7 +236,7 @@ def type_problems(tp, val, where: str = "", skip=(), complete: bool = False) -> 
     this alone."""
     if is_dataclass(tp):
         if not isinstance(val, dict):
-            return [f"{where} must be an object, got {val!r}"]
+            return [f"{where} must be an object, got {_json(val)}"]
         hints = get_type_hints(tp)
         names = [f.name for f in fields(tp) if f.init and f.name not in skip]
         bad = [f"unknown key {_join(where, k)}" for k in val if k not in names]
@@ -250,7 +252,7 @@ def type_problems(tp, val, where: str = "", skip=(), complete: bool = False) -> 
         inner, = (a for a in args if a is not NoneType)
         return [] if val is None else type_problems(inner, val, where, complete=complete)
     if not _is_kind(origin or tp, val):
-        return [f"{where} must be {_KINDS[origin or tp]}, got {val!r}"]
+        return [f"{where} must be {_KINDS[origin or tp]}, got {_json(val)}"]
     if origin is list:
         return [p for i, v in enumerate(val)
                 for p in type_problems(args[0], v, f"{where}[{i}]", complete=complete)]
@@ -266,6 +268,11 @@ def _is_kind(kind, val) -> bool:
     if kind is float:  # finite: JSON reads NaN, which passes any `< 0` check
         return isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
     return isinstance(val, kind)
+
+
+def _json(val) -> str:
+    """`val` as JSON spells it, as the user wrote it (1e400 reads as Infinity)."""
+    return json.dumps(val, default=repr)
 
 
 def _join(where: str, key: str) -> str:
@@ -290,7 +297,7 @@ def from_dict(doc: dict) -> ExperimentConfig:
     bad = []
     version = doc.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION or type_problems(int, version):
-        bad.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        bad.append(f"schema_version must be {SCHEMA_VERSION}, got {_json(version)}")
     bad += type_problems(ExperimentConfig, doc)
     if bad:
         raise ConfigError(bad)

@@ -166,6 +166,10 @@ def load_manifest(path):
             problems.append(f"bad or duplicate language entry {entry!r}")
             continue
         seen.add(name)
+        for key in ("english", "target"):
+            if not isinstance(entry.get(key, False), bool):
+                problems.append(f"language {name}: {key} must be true or false, "
+                                f"got {json.dumps(entry[key])}")
         languages.append(LanguageId(name, bool(entry.get("english")), bool(entry.get("target"))))
     if sum(1 for l in languages if l.is_english) != 1:
         problems.append("manifest must declare exactly one English language")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import DATA_PATH_KEYS, ExperimentConfig, config_digest, to_dict
+from .config import DATA_PATH_KEYS, STAGES, ExperimentConfig, config_digest, to_dict
 from .corpus import (bucket_batches, build_registry,
                      choose_dataset, draw_batch, entry_problems, load_dataset,
                      load_manifest, resolve_paths, write_json)
@@ -34,16 +34,7 @@ from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
 from .tokenizer import (file_digest, read_json, read_lines, read_text, save_vocab,
                         train_bpe, write_lines)
 
-STAGE_TAGS = {"stage1": "1", "stage2a": "2a", "stage2b": "2b", "stage3": "3"}
-
-
-@dataclass
-class ArmOptions:
-    """Ablation switches. The default is the full method."""
-
-    use_synthetic: bool = True
-    keep_aux: str | None = None  # keep only this auxiliary's real parallel data
-    stage3_objectives: tuple | None = None  # None = all of bt/ct/ce
+ARMS = ("no-synthetic", "single-aux", "bt-only")  # each removes one ingredient
 
 
 @dataclass
@@ -51,8 +42,8 @@ class RunContext:
     """Everything the stage runners share: config, model geometry, vocab,
     the manifest's languages and dataset entries (read, with their paths
     resolved, and checked against the pivot table once, by build_context),
-    the ablation arm, which picks each stage's datasets and objectives, and
-    where artifacts go."""
+    the ablation arm (one of ARMS, or None for the full method), which picks
+    each stage's datasets and objectives, and where artifacts go."""
 
     cfg: ExperimentConfig
     model_cfg: ModelConfig
@@ -63,7 +54,7 @@ class RunContext:
     vocab_digest: str = ""
     config_digest: str = ""
     quiet: bool = False
-    arm: ArmOptions = field(default_factory=ArmOptions)
+    arm: str | None = None
     # the manifest's tokenized corpora, built on the first registry() call
     _registry: list | None = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -149,10 +140,9 @@ def _audit_rows(path, start_step: int) -> list:
 
 
 def _run_updates(ctx: RunContext, params: ModelParams, opt: OptimState, spec,
-                 label: str, stage_tag: str, updates, start_step: int,
-                 steps: int, interval: int = 0, meta: dict | None = None
-                 ) -> Checkpoint:
-    """Apply the updates a stage yields, numbered from `start_step`. An
+                 label: str, updates, start_step: int, steps: int,
+                 interval: int = 0, meta: dict | None = None) -> Checkpoint:
+    """Apply the updates stage `label` yields, numbered from `start_step`. An
     update is (dataset, objective, src_lang, tgt_lang, loss, lr); a loss of
     None, a batch whose every decode came back empty, costs no step.
 
@@ -163,9 +153,8 @@ def _run_updates(ctx: RunContext, params: ModelParams, opt: OptimState, spec,
     mid-stage checkpoint saved. The final checkpoint's step is the number of
     updates run, and its header carries `meta` as the stage left it."""
     def checkpoint(step):
-        return Checkpoint(params, opt, stage_tag, step, ctx.vocab_digest,
-                          ctx.config_digest, dict(meta or {}, stage_label=label,
-                                                  model=asdict(ctx.model_cfg)))
+        return Checkpoint(params, opt, STAGES[label], step, ctx.vocab_digest,
+                          ctx.config_digest, dict(meta or {}, model=asdict(ctx.model_cfg)))
 
     path = os.path.join(ctx.out_dir, f"audit.{label}.tsv")
     kept = _audit_rows(path, start_step)
@@ -199,7 +188,7 @@ def _run_updates(ctx: RunContext, params: ModelParams, opt: OptimState, spec,
 
 
 def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
-                   spec, stage_tag: str, opt: OptimState | None = None,
+                   spec, opt: OptimState | None = None,
                    start_step: int = 0) -> Checkpoint:
     """Sampled training: each step picks a dataset, draws a batch, and
     applies one update. Mono batches train the masked-span objective; real
@@ -210,8 +199,6 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
     always draws from the stream "{label}:step{t}" regardless of where the
     run started.
     """
-    if stage_tag not in ("1", "2a", "2b"):
-        raise ConfigError(f"run_algorithm1 got stage tag {stage_tag!r}")
     if start_step < 0 or start_step > spec.steps:
         raise ConfigError(f"start_step {start_step} outside [0, {spec.steps}]")
     if opt is None:
@@ -241,8 +228,8 @@ def run_algorithm1(ctx: RunContext, params: ModelParams, datasets, label: str,
                 ctx.say(f"[{label}] step {done}/{spec.steps} loss "
                         f"{float(loss.data):.4f}")
 
-    return _run_updates(ctx, params, opt, spec, label, stage_tag, updates(),
-                        start_step, spec.steps, spec.checkpoint_interval)
+    return _run_updates(ctx, params, opt, spec, label, updates(), start_step,
+                        spec.steps, spec.checkpoint_interval)
 
 
 def run_stage1(ctx: RunContext, params: ModelParams | None = None,
@@ -252,7 +239,7 @@ def run_stage1(ctx: RunContext, params: ModelParams | None = None,
     _, datasets = ctx.registry()
     if params is None:
         params = init_params(ctx.model_cfg, ctx.cfg.seed)
-    return run_algorithm1(ctx, params, datasets, "stage1", ctx.cfg.stage1, "1",
+    return run_algorithm1(ctx, params, datasets, "stage1", ctx.cfg.stage1,
                           opt=opt, start_step=start_step)
 
 
@@ -264,12 +251,12 @@ def run_stage2(ctx: RunContext, params: ModelParams, label: str,
     if label not in ("stage2a", "stage2b"):
         raise ConfigError(f"unknown stage label {label!r}")
     synthetic = stage_entries(ctx, label)
-    if ctx.arm.use_synthetic and not any(
+    if ctx.arm != "no-synthetic" and not any(
             e.get("synthetic") for e in ctx.entries + synthetic):
         raise DataError(f"{label} expects at least one synthetic parallel dataset")
     _, datasets = ctx.registry(extra_entries=synthetic)
     return run_algorithm1(ctx, params, datasets, label, getattr(ctx.cfg, label),
-                          STAGE_TAGS[label], opt=opt, start_step=start_step)
+                          opt=opt, start_step=start_step)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +303,7 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
     reuse a line. Writes the round's entries file, its paths relative to the
     file, and returns the entries resolved as stage_entries reads them back.
     """
-    path = synthetic_rounds(ctx, f"r{round_idx}")[round_idx]  # rejects other rounds
+    path = entries_path(ctx, round_idx)
     english, targets = _english_and_targets(ctx.languages)
     mono = {e["lang"]: e for e in ctx.entries if e["kind"] == "mono"}
     syn = ctx.cfg.synthetic
@@ -365,28 +352,22 @@ def generate_synthetic(ctx: RunContext, params: ModelParams, round_idx: int):
     return resolve_paths(out_entries, path)
 
 
-def synthetic_rounds(ctx: RunContext, label: str) -> dict:
-    """{round: path of its entries file} for the synthetic rounds `label`
-    trains on: stage2a trains round 1; stage2b and stage3 train round 2,
-    plus round 1 when synthetic.keep_round1 is set. The label "r1" or "r2"
-    names that one round, whose file generate_synthetic writes."""
-    later = (2, 1) if ctx.cfg.synthetic.keep_round1 else (2,)
-    rounds = {"r1": (1,), "r2": (2,), "stage2a": (1,), "stage2b": later,
-              "stage3": later}
-    if label not in rounds:
-        raise ConfigError(f"no synthetic rounds for {label!r}")
-    return {n: os.path.join(ctx.out_dir, "synthetic", f"r{n}.entries.json")
-            for n in rounds[label]}
+def entries_path(ctx: RunContext, round_idx: int) -> str:
+    """The entries file synthetic round `round_idx` writes."""
+    return os.path.join(ctx.out_dir, "synthetic", f"r{round_idx}.entries.json")
 
 
 def stage_entries(ctx: RunContext, label: str) -> list:
-    """The synthetic dataset entries `label` trains on, read back from the
-    entries files of its rounds (see synthetic_rounds), each path resolved
-    against its entries file; none under an arm without synthetic data."""
-    if not ctx.arm.use_synthetic:
+    """The synthetic dataset entries stage `label` trains on, read back from
+    the entries files of its rounds, each path resolved against its file:
+    stage2a trains round 1; stage2b and stage3 train round 2, plus round 1
+    when synthetic.keep_round1 is set. None under the no-synthetic arm."""
+    if ctx.arm == "no-synthetic":
         return []
+    later = (2, 1) if ctx.cfg.synthetic.keep_round1 else (2,)
     entries = []
-    for n, path in synthetic_rounds(ctx, label).items():
+    for n in (1,) if label == "stage2a" else later:
+        path = entries_path(ctx, n)
         if not os.path.exists(path):
             raise DataError(f"{path} not found: run synth-bt --round {n} first")
         doc = read_json(path, "entries file")
@@ -476,7 +457,7 @@ def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
     english, _ = _english_and_targets(ctx.languages)
     _, datasets = ctx.registry(extra_entries=stage_entries(ctx, "stage3"))
     plan = predict_sweep(ctx.languages, datasets, ctx.cfg.pivots,
-                         ctx.arm.stage3_objectives)
+                         ("bt",) if ctx.arm == "bt-only" else None)
     if not plan:
         raise DataError("stage 3 plan is empty: nothing to train")
     by_id = {ds.id: ds for ds in datasets}
@@ -534,7 +515,7 @@ def run_stage3(ctx: RunContext, params: ModelParams) -> Checkpoint:
             params.flat[...] = best[0]
             opt.m, opt.v, opt.step = best[1:]
 
-    return _run_updates(ctx, params, opt, spec, "stage3", "3", sweeps(), 0,
+    return _run_updates(ctx, params, opt, spec, "stage3", sweeps(), 0,
                         spec.sweeps * len(plan), meta=meta)
 
 
@@ -574,17 +555,26 @@ def save_run_meta(out_dir, started: float, **extra) -> None:
 
 
 def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
-                  arm: ArmOptions | None = None) -> RunContext:
+                  arm: str | None = None) -> RunContext:
     """Resolve data, train the vocabulary, and fix the model geometry.
 
     If the config names no manifest, generate_benchmark builds one under
-    out_dir/benchmark. An arm with keep_aux drops every other auxiliary's
-    real parallel data from the entries before anything reads them. The
-    returned context's cfg is a resolved copy; the caller's is untouched.
+    out_dir/benchmark. The single-aux arm shrinks every pivot list to the
+    alphabetically first pivot, refusing a target without it, and drops the
+    other auxiliaries' real parallel data before anything reads the entries.
+    The returned context's cfg is a resolved copy; the caller's is untouched.
     """
-    arm = arm or ArmOptions()
+    if arm is not None and arm not in ARMS:
+        raise ConfigError(f"unknown ablation arm {arm!r}; the arms are {', '.join(ARMS)}")
     cfg = copy.deepcopy(cfg)
     cfg.validate()
+    if arm == "single-aux":
+        keep = min(a for pl in cfg.pivots.values() for a in pl)
+        bad = [t for t, pl in cfg.pivots.items() if keep not in pl]
+        if bad:
+            raise ConfigError(f"single-aux arm keeps {keep!r}, but targets {bad} "
+                              "do not pivot through it")
+        cfg.pivots = {t: [keep] for t in cfg.pivots}
     os.makedirs(out_dir, exist_ok=True)
     if cfg.manifest is None:
         if not quiet:
@@ -593,10 +583,10 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
         generate_benchmark(cfg, out_dir)
 
     languages, entries = load_manifest(cfg.manifest)
-    if arm.keep_aux is not None:
+    if arm == "single-aux":
         entries = [e for e in entries
                    if e["kind"] != "parallel" or e.get("synthetic")
-                   or arm.keep_aux in (e["src"], e["tgt"])]
+                   or keep in (e["src"], e["tgt"])]
     check_manifest_compat(cfg, languages, entries)
     sides = {"mono": ("path",), "parallel": ("src_path", "tgt_path")}
     lines = [line for e in entries for key in sides[e["kind"]]
@@ -625,7 +615,7 @@ def _report(ctx, params, test_sets, label, scores):
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
-                 arm: ArmOptions | None = None) -> dict:
+                 arm: str | None = None) -> dict:
     """Data, vocab, stage 1, two synthetic rounds with stage-2 training,
     stage 3, and per-stage test reports. Returns a summary dict, also written
     to out_dir/summary.json. Wall-clock timestamps only ever land in
@@ -643,7 +633,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     _report(ctx, params, test_sets, "stage1", scores)
 
     for round_idx, label in ((1, "stage2a"), (2, "stage2b")):
-        if ctx.arm.use_synthetic:
+        if ctx.arm != "no-synthetic":
             generate_synthetic(ctx, params, round_idx)
         run_stage2(ctx, params, label)
         _report(ctx, params, test_sets, label, scores)

@@ -111,7 +111,7 @@ def gen_base_corpus(spec: CorpusSpec, surfaces=None) -> list:
 class LanguageSpec:
     name: str
     base: bool
-    lexicon: dict  # base surface -> this language's surface, bijective
+    lexicon: dict[str, str]  # base surface -> this language's surface, bijective
     window: int = 0  # 0 keeps base order; w >= 2 reverses each w-window
     prefix: str = ""
 
@@ -182,7 +182,7 @@ _COGNATE_CYCLE = 20  # cognate shares quantized to twentieths, spread over ranks
 
 def make_derived_spec(name: str, base: LanguageSpec, window: int = 0,
                       donors=None) -> LanguageSpec:
-    """donors: list of (donor_spec, fraction); fractions in twentieths.
+    """donors: list of (donor_spec, fraction); BenchmarkConfig.validate checks the fractions.
 
     Word type t borrows donor j's surface when t mod 20 falls in donor j's
     share, so cognates spread evenly across frequency ranks.
@@ -190,13 +190,7 @@ def make_derived_spec(name: str, base: LanguageSpec, window: int = 0,
     base_words = list(base.lexicon)
     slots = []
     for donor, frac in donors or []:
-        k = round(frac * _COGNATE_CYCLE)
-        if abs(k - frac * _COGNATE_CYCLE) > 1e-9:
-            raise ConfigError(
-                f"{name}: cognate fraction {frac} is not a multiple of 1/{_COGNATE_CYCLE}")
-        slots.extend([donor] * k)
-    if len(slots) > _COGNATE_CYCLE:
-        raise ConfigError(f"{name}: cognate fractions exceed 1")
+        slots.extend([donor] * round(frac * _COGNATE_CYCLE))
     lexicon = {}
     for t, bw in enumerate(base_words):
         slot = t % _COGNATE_CYCLE
@@ -213,16 +207,16 @@ def save_language_specs(path, specs) -> None:
 
 
 def load_language_specs(path) -> dict:
+    from .config import type_problems  # config imports this module
     doc = read_json(path, "language file", "munmt-languages")
     entries = doc.get("languages")
     if not isinstance(entries, list):
         raise DataError(f"{path}: languages must be a list")
     out = {}
-    for entry in entries:
-        try:
-            spec = LanguageSpec(**entry).validate()
-        except TypeError as e:
-            raise DataError(f"{path}: bad language entry {entry!r} ({e})") from None
+    for i, entry in enumerate(entries):
+        if bad := type_problems(LanguageSpec, entry, f"languages[{i}]", complete=True):
+            raise DataError(f"{path}: bad language entry: " + "; ".join(bad))
+        spec = LanguageSpec(**entry).validate()
         out[spec.name] = spec
     return out
 
@@ -295,6 +289,9 @@ class BenchmarkConfig:
                     bad.append(f"target {name}: unknown cognate donor {donor!r}")
                 if not (0.0 <= frac <= 1.0):
                     bad.append(f"target {name}: cognate fraction {frac!r} out of range")
+                elif abs(frac * _COGNATE_CYCLE - round(frac * _COGNATE_CYCLE)) > 1e-9:
+                    bad.append(f"target {name}: cognate fraction {frac!r} is not a "
+                               f"multiple of 1/{_COGNATE_CYCLE}")
             if sum(t.cognates.values()) > 1.0 + 1e-9:
                 bad.append(f"target {name}: cognate fractions exceed 1")
         if not (0.0 <= self.noise_dropout < 1.0):

@@ -547,7 +547,7 @@ def test_c6_resume_reproduces_loss_sequence(tmp_path):
     ctx_b = build_context(cfg, str(tmp_path / "resumed"), quiet=True)
     _, datasets = ctx_b.registry()
     run_algorithm1(ctx_b, mid.params, datasets, "stage1", ctx_b.cfg.stage1,
-                   "1", opt=mid.opt, start_step=mid.step)
+                   opt=mid.opt, start_step=mid.step)
     tail = _audit_rows(tmp_path / "resumed" / "audit.stage1.tsv")
     # the resumed half reproduces the uninterrupted run line for line,
     # loss strings included

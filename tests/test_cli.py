@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from munmt import corpus, pipeline
-from munmt.cli import _single_aux_arm, main
+from munmt.cli import main
 from munmt.config import apply_overrides, from_dict
 
 CFG_DOC = {
@@ -205,6 +205,29 @@ def test_benchmark_bounds_checked_before_anything_is_written(tmp_path, capsys):
     assert not (out / "benchmark").exists()
 
 
+def test_cognate_fraction_checked_before_anything_is_written(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CFG_DOC))
+    out = tmp_path / "o"
+    assert main(["train-vocab", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                 "--override", "benchmark.targets.xa.cognates.aa=0.33"]) == 2
+    assert "not a multiple of 1/20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, said", [
+    ("benchmark.targets.xa=null", "benchmark.targets.xa must be an object, got null"),
+    ("schema_version=true", "schema_version must be 1, got true"),
+    ("benchmark.vocab_types=1e400", "benchmark.vocab_types must be an int, got Infinity"),
+], ids=["null", "true", "inf"])
+def test_config_errors_spell_values_as_json(tmp_path, capsys, override, said):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CFG_DOC))
+    assert main(["train-vocab", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--quiet", "--override", override]) == 2
+    assert said in capsys.readouterr().err
+
+
 def test_vocab_digest_mismatch_is_a_data_error(chain, tmp_path, capsys):
     root, cfg_path, out, _, _ = chain
     code = main(["evaluate", "--config", str(cfg_path), "--out", str(out),
@@ -303,6 +326,17 @@ def test_malformed_synthetic_entry_exits_3(chain, tmp_path, capsys):
     assert main(["stage2", "--round", "a", "--config", str(cfg_path),
                  "--out", str(run), "--quiet"]) == 3
     assert "needs src_path and tgt_path" in capsys.readouterr().err
+
+
+def test_synth_bt_round2_decodes_with_stage2a(chain, tmp_path, capsys):
+    root, cfg_path, out, _, _ = chain
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(out / "stage1.ckpt", run / "stage1.ckpt")  # round 1's, not round 2's
+    assert main(["synth-bt", "--round", "2", "--config", str(cfg_path),
+                 "--out", str(run), "--quiet"]) == 3
+    assert str(run / "stage2a.ckpt") in capsys.readouterr().err
+    assert not (run / "synthetic").exists()
 
 
 def test_missing_checkpoint_exits_3(chain):
@@ -443,16 +477,20 @@ def test_single_aux_arm_trims_pivots_and_drops_parallel(chain, tmp_path):
     doc["manifest"] = str(out / "benchmark" / "manifest.json")
     doc["testsets"] = str(out / "benchmark" / "testsets.json")
     cfg = from_dict(doc)
-    arm = _single_aux_arm(cfg)
-    assert arm.keep_aux == "aa"  # build_context drops parallel.ab-en
-    assert cfg.pivots == {"xa": ["aa"]}
-    # the arm reads no manifest, so none need exist yet, whatever English is
-    # called
+    ctx = pipeline.build_context(cfg, str(tmp_path / "one"), quiet=True, arm="single-aux")
+    assert ctx.cfg.pivots == {"xa": ["aa"]} and cfg.pivots == {"xa": ["aa", "ab"]}
+    assert not any("ab" in (e.get("src"), e.get("tgt")) for e in ctx.entries)
+    # the pivots shrink before the run's own benchmark is built, whatever
+    # English is called, and the digest covers the shrunk table
     doc = {k: v for k, v in doc.items() if k not in ("manifest", "testsets")}
     doc["benchmark"] = dict(doc["benchmark"], base_name="zz")
     cfg2 = from_dict(doc)
-    assert _single_aux_arm(cfg2).keep_aux == "aa"
-    assert cfg2.manifest is None
+    ctx2 = pipeline.build_context(cfg2, str(tmp_path / "two"), quiet=True,
+                                  arm="single-aux")
+    assert ctx2.cfg.pivots == {"xa": ["aa"]} and cfg2.manifest is None
+    assert [e["id"] for e in ctx2.entries if e["kind"] == "parallel"] == ["parallel.aa-zz"]
+    full = pipeline.build_context(cfg2, str(tmp_path / "full"), quiet=True)
+    assert full.config_digest != ctx2.config_digest
 
 
 def test_single_aux_arm_ablation_with_another_base_name(chain, tmp_path,
@@ -472,16 +510,19 @@ def test_single_aux_arm_ablation_with_another_base_name(chain, tmp_path,
     assert "\tparallel.aa-zz\t" in audits["audit.stage3.tsv"]  # the kept pivot
 
 
-def test_single_aux_arm_rejects_unbridged_targets():
+def test_single_aux_arm_rejects_unbridged_targets(tmp_path, capsys):
     doc = copy.deepcopy(CFG_DOC)
     doc["pivots"] = {"xa": ["aa"], "xb": ["ab"]}
     doc["benchmark"]["targets"] = {
         "xa": {"window": 2, "cognates": {"aa": 0.4, "ab": 0.4}},
         "xb": {"window": 3, "cognates": {"aa": 0.4, "ab": 0.4}}}
-    cfg = from_dict(doc)
-    from munmt.errors import ConfigError
-    with pytest.raises(ConfigError, match="single-aux"):
-        _single_aux_arm(cfg)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["ablate", "--arm", "single-aux", "--config", str(cfg_path),
+                 "--out", str(out), "--quiet"]) == 2
+    assert "single-aux arm keeps 'aa'" in capsys.readouterr().err
+    assert not out.exists()  # refused before the benchmark is built
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,14 @@ PARALLEL = {"id": "p1", "kind": "parallel", "src": "en", "tgt": "en", "src_path"
     ({"datasets": [dict(MONO, path=7)]}, "needs a known lang and a path"),
     ({"datasets": [dict(PARALLEL, src={"en": 1})]}, "has unknown languages"),
     ({"datasets": [dict(PARALLEL, tgt_path=True)]}, "needs src_path and tgt_path"),
+    ({"languages": [{"name": "en", "english": "no"}]},
+     'language en: english must be true or false, got "no"'),
+    ({"languages": [{"name": "en", "english": True, "target": "false"}]},
+     'language en: target must be true or false, got "false"'),
+    ({"languages": [{"name": "en", "english": None}]}, "english must be true or false"),
 ], ids=["list-root", "number-language", "list-name", "dict-datasets", "list-id", "list-lang",
-        "int-path", "dict-src", "bool-path"])
+        "int-path", "dict-src", "bool-path", "string-english", "string-target",
+        "null-english"])
 def test_manifest_parts_that_are_not_objects_rejected(tmp_path, doc, match):
     if isinstance(doc, dict):
         doc = {"format": "munmt-manifest", "version": 1,

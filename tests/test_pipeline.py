@@ -16,10 +16,9 @@ from munmt.config import (EvalSpec, ExperimentConfig, LrSpec, ModelSpec,
 from munmt.corpus import load_manifest, read_lines, save_manifest
 from munmt.errors import ConfigError, DataError, NumericError
 from munmt.model import ModelParams, init_params
-from munmt.pipeline import (ArmOptions, build_context,
-                            check_manifest_compat, generate_synthetic,
-                            predict_sweep, run_algorithm1,
-                            run_pipeline, run_stage1, run_stage2, run_stage3)
+from munmt.pipeline import (build_context, check_manifest_compat, generate_synthetic,
+                            predict_sweep, run_algorithm1, run_pipeline,
+                            run_stage1, run_stage2, run_stage3, stage_entries)
 from munmt.synthlang import BenchmarkConfig, TargetSpec, build_benchmark
 
 
@@ -62,9 +61,6 @@ def ctx_at(env, name, cfg=None, arm=None):
                                arm=arm or ctx.arm)
 
 
-REAL_ONLY = ArmOptions(use_synthetic=False)
-
-
 def read_audit(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [line.rstrip("\n").split("\t") for line in fh if line.strip()]
@@ -85,7 +81,7 @@ def test_zero_steps_is_a_passthrough(env):
     params = init_params(ctx.model_cfg, 7)
     before = ModelParams(params.arrays)
     spec = StageSpec(steps=0, lr=LrSpec(peak=5e-4, warmup=2, total=12))
-    ck = run_algorithm1(ctx, params, datasets, "stage1", spec, "1")
+    ck = run_algorithm1(ctx, params, datasets, "stage1", spec)
     assert ck.step == 0
     assert params_equal(params, before)
     loaded = load_checkpoint(os.path.join(ctx.out_dir, "stage1.ckpt"))
@@ -122,7 +118,7 @@ def test_non_finite_loss_raises_with_location(env):
     params.arrays["tok_emb"][:] = np.nan
     spec = StageSpec(steps=3, lr=LrSpec(peak=5e-4, warmup=2, total=12))
     with pytest.raises(NumericError, match="stage1 step 0"):
-        run_algorithm1(ctx, params, datasets, "stage1", spec, "1")
+        run_algorithm1(ctx, params, datasets, "stage1", spec)
 
 
 def test_schedule_built_in_code_is_checked_like_a_config(env):
@@ -131,7 +127,7 @@ def test_schedule_built_in_code_is_checked_like_a_config(env):
     params = init_params(ctx.model_cfg, 7)
     spec = StageSpec(steps=3, lr=LrSpec(peak=5e-4, warmup=5, total=2))
     with pytest.raises(ConfigError, match="stage1.lr.total must be >= warmup"):
-        run_algorithm1(ctx, params, datasets, "stage1", spec, "1")
+        run_algorithm1(ctx, params, datasets, "stage1", spec)
 
 
 def test_mid_checkpoints_and_exact_resume(env):
@@ -147,8 +143,7 @@ def test_mid_checkpoints_and_exact_resume(env):
     ctx_b = ctx_at(env, "resumed")
     _, datasets = ctx_b.registry()
     ck_res = run_algorithm1(ctx_b, mid.params, datasets, "stage1",
-                            ctx_b.cfg.stage1, "1", opt=mid.opt,
-                            start_step=mid.step)
+                            ctx_b.cfg.stage1, opt=mid.opt, start_step=mid.step)
     assert params_equal(ck_res.params, ck_full.params)
     # the resumed audit covers exactly the remaining steps
     rows = read_audit(os.path.join(ctx_b.out_dir, "audit.stage1.tsv"))
@@ -178,8 +173,8 @@ def test_stage2_requires_synthetic_data(env):
 def test_stage2_of_a_no_synthetic_context_trains_real_data_only(env, tmp_path):
     cfg = env[1]
     out = tmp_path / "realonly"
-    ctx = build_context(cfg, str(out), quiet=True, arm=REAL_ONLY)
-    assert ctx.arm == REAL_ONLY
+    ctx = build_context(cfg, str(out), quiet=True, arm="no-synthetic")
+    assert ctx.arm == "no-synthetic"
     run_stage2(ctx, init_params(ctx.model_cfg, 7), "stage2a")
     rows = read_audit(out / "audit.stage2a.tsv")
     assert len(rows) == cfg.stage2a.steps
@@ -240,9 +235,8 @@ def test_round2_is_larger_disjoint_and_bidirectional(synth):
     mono_en = set(read_lines(os.path.join(
         os.path.dirname(ctx.cfg.manifest), "mono.en.txt")))
     assert set(en_side) <= mono_en
-    # entries file round-trips
-    back = pipeline.stage_entries(ctx, "r2")
-    assert back == r2
+    # entries file round-trips: stage2b trains round 2 alone by default
+    assert stage_entries(ctx, "stage2b") == r2
 
 
 def test_stage2_trains_synthetic_in_its_labeled_direction_only(synth):
@@ -251,7 +245,7 @@ def test_stage2_trains_synthetic_in_its_labeled_direction_only(synth):
     wanted = [d for d in datasets if d.id in ("mono.xa", "synth.r1.en-xa")]
     assert len(wanted) == 2
     spec = StageSpec(steps=8, lr=LrSpec(peak=5e-4, warmup=2, total=12))
-    run_algorithm1(ctx, ModelParams(params.arrays), wanted, "stage2a", spec, "2a")
+    run_algorithm1(ctx, ModelParams(params.arrays), wanted, "stage2a", spec)
     rows = read_audit(os.path.join(ctx.out_dir, "audit.stage2a.tsv"))
     objs = set(r[2] for r in rows)
     assert objs <= {"mass", "ce"}
@@ -261,20 +255,21 @@ def test_stage2_trains_synthetic_in_its_labeled_direction_only(synth):
         assert (r[3], r[4]) == ("en", "xa")  # labeled direction, never reversed
 
 
-@pytest.mark.parametrize("keep_round1, later", [(False, [2]), (True, [2, 1])])
-def test_synthetic_rounds_per_stage(env, keep_round1, later):
-    cfg = copy.deepcopy(env[1])
+@pytest.mark.parametrize("keep_round1, later", [(False, ["r2"]), (True, ["r2", "r1"])])
+def test_stage_entries_per_stage(synth, keep_round1, later):
+    ctx, _, _, _ = synth
+    cfg = copy.deepcopy(ctx.cfg)
     cfg.synthetic.keep_round1 = keep_round1
-    ctx = ctx_at(env, "rounds", cfg=cfg)
-    rounds = {label: pipeline.synthetic_rounds(ctx, label)
-              for label in ("r1", "r2", "stage2a", "stage2b", "stage3")}
-    assert {k: list(v) for k, v in rounds.items()} == {
-        "r1": [1], "r2": [2], "stage2a": [1], "stage2b": later, "stage3": later}
-    n = later[-1]
-    assert rounds["stage3"][n] == os.path.join(ctx.out_dir, "synthetic",
-                                               f"r{n}.entries.json")
-    with pytest.raises(ConfigError):
-        pipeline.synthetic_rounds(ctx, "stage1")
+    ctx = dataclasses.replace(ctx, cfg=cfg)
+    rounds = {label: list(dict.fromkeys(e["id"].split(".")[1]
+                                        for e in stage_entries(ctx, label)))
+              for label in ("stage2a", "stage2b", "stage3")}
+    assert rounds == {"stage2a": ["r1"], "stage2b": later, "stage3": later}
+    for label in rounds:  # the no-synthetic arm trains on the manifest alone
+        assert stage_entries(dataclasses.replace(ctx, arm="no-synthetic"), label) == []
+    # each round's entries file sits under the run's synthetic directory
+    assert pipeline.entries_path(ctx, 2) == os.path.join(ctx.out_dir, "synthetic",
+                                                         "r2.entries.json")
 
 
 def test_synthetic_entries_are_checked_like_manifest_entries(synth):
@@ -380,7 +375,7 @@ def test_predict_sweep_objective_filter():
 
 
 def test_stage3_audit_matches_the_plan_exactly(env):
-    ctx = ctx_at(env, "s3", arm=REAL_ONLY)
+    ctx = ctx_at(env, "s3", arm="no-synthetic")
     languages, _ = load_manifest(ctx.cfg.manifest)
     _, datasets = ctx.registry()
     plan = predict_sweep(languages, datasets, ctx.cfg.pivots)
@@ -401,7 +396,7 @@ def test_stage3_audit_matches_the_plan_exactly(env):
 def test_stage3_zero_sweeps_passes_params_through(env):
     cfg = copy.deepcopy(env[1])
     cfg.stage3 = Stage3Spec(sweeps=0, eval_every=0, max_tokens=256, max_len=16)
-    ctx = ctx_at(env, "s3zero", cfg=cfg, arm=REAL_ONLY)
+    ctx = ctx_at(env, "s3zero", cfg=cfg, arm="no-synthetic")
     params = init_params(ctx.model_cfg, 5)
     before = ModelParams(params.arrays)
     ck = run_stage3(ctx, params)
@@ -410,8 +405,7 @@ def test_stage3_zero_sweeps_passes_params_through(env):
 
 
 def test_stage3_logs_skips_and_leaves_params_alone(env, monkeypatch):
-    ctx = ctx_at(env, "s3skip", arm=ArmOptions(use_synthetic=False,
-                                               stage3_objectives=("bt", "ct")))
+    ctx = ctx_at(env, "s3skip", arm="no-synthetic")
     params = init_params(ctx.model_cfg, 5)
     before = ModelParams(params.arrays)
     monkeypatch.setattr(objectives, "greedy_decode_batch",
@@ -423,7 +417,7 @@ def test_stage3_logs_skips_and_leaves_params_alone(env, monkeypatch):
 
 
 def test_stage3_non_finite_loss_raises_with_location(env):
-    ctx = ctx_at(env, "s3nan", arm=REAL_ONLY)
+    ctx = ctx_at(env, "s3nan", arm="no-synthetic")
     _, datasets = ctx.registry()
     ds_id, obj, _, _ = predict_sweep(ctx.languages, datasets, ctx.cfg.pivots)[0]
     params = init_params(ctx.model_cfg, 5)
@@ -438,7 +432,7 @@ def test_stage3_early_stop_restores_the_best_params(env, monkeypatch):
     cfg = copy.deepcopy(env[1])
     cfg.stage3 = Stage3Spec(sweeps=6, eval_every=1, patience=2,
                             max_tokens=256, max_len=16)
-    ctx = ctx_at(env, "s3stop", cfg=cfg, arm=REAL_ONLY)
+    ctx = ctx_at(env, "s3stop", cfg=cfg, arm="no-synthetic")
     seen = []
     scores = iter([10.0, 5.0, 4.0])
 
@@ -483,21 +477,44 @@ def test_compat_rejects_supervised_targets(env):
         check_manifest_compat(cfg, languages, leak)
 
 
-def test_keep_aux_drops_other_auxiliaries_in_memory(env, tmp_path, monkeypatch):
+def test_single_aux_drops_other_auxiliaries_in_memory(env, tmp_path, monkeypatch):
     root, cfg, ctx = env
+    cfg = copy.deepcopy(cfg)
+    cfg.pivots = {"xa": ["ab", "aa"]}
     parses = count_calls(monkeypatch, "load_manifest", corpus, pipeline)
-    kept = build_context(cfg, str(tmp_path / "oneaux"), quiet=True,
-                         arm=ArmOptions(keep_aux="aa"))
+    kept = build_context(cfg, str(tmp_path / "oneaux"), quiet=True, arm="single-aux")
     assert len(parses) == 1
+    # the alphabetically first pivot is kept; the caller's config is untouched
+    assert kept.cfg.pivots == {"xa": ["aa"]} and cfg.pivots == {"xa": ["ab", "aa"]}
     # the context's entries are the manifest's, in order, minus parallel.ab-en
     assert [e["id"] for e in kept.entries] == [
         e["id"] for e in ctx.entries if e["id"] != "parallel.ab-en"]
     assert [d.id for d in kept.registry()[1]] == [e["id"] for e in kept.entries]
     assert os.listdir(tmp_path / "oneaux") == ["vocab.txt"]  # no manifest copy
-    # an auxiliary with no parallel data leaves the pivots unbridged
+    # a first pivot with no parallel data leaves the pivots unbridged
+    languages, entries = load_manifest(cfg.manifest)
+    save_manifest(tmp_path / "manifest.json", languages,
+                  [e for e in entries if e["id"] != "parallel.aa-en"])
+    cfg.manifest = str(tmp_path / "manifest.json")
     with pytest.raises(ConfigError, match="no parallel data"):
-        build_context(cfg, str(tmp_path / "noaux"), quiet=True,
-                      arm=ArmOptions(keep_aux="zz"))
+        build_context(cfg, str(tmp_path / "noaux"), quiet=True, arm="single-aux")
+
+
+def test_single_aux_refuses_an_unbridged_target_before_writing(env, tmp_path):
+    cfg = copy.deepcopy(env[1])
+    cfg.pivots = {"xa": ["ab"], "xb": ["aa"]}  # keeps aa, which xa lacks
+    with pytest.raises(ConfigError, match=r"single-aux arm keeps 'aa', but targets \['xa'\]"):
+        build_context(cfg, str(tmp_path / "run"), quiet=True, arm="single-aux")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("arm", ["bt_only", "BT-only", "full"])
+def test_unknown_arm_refused(env, tmp_path, arm):
+    with pytest.raises(ConfigError, match="unknown ablation arm"):
+        build_context(env[1], str(tmp_path / "run"), quiet=True, arm=arm)
+    with pytest.raises(ConfigError, match="unknown ablation arm"):
+        run_pipeline(env[1], str(tmp_path / "run"), quiet=True, arm=arm)
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +575,7 @@ def test_no_synthetic_arm_skips_generation(env, tmp_path, monkeypatch):
     small.stage3 = Stage3Spec(sweeps=1, eval_every=0, max_tokens=256, max_len=16)
     out = tmp_path / "nosynth"
     builds = count_calls(monkeypatch, "build_registry", pipeline)
-    summary = run_pipeline(small, str(out), quiet=True, arm=REAL_ONLY)
+    summary = run_pipeline(small, str(out), quiet=True, arm="no-synthetic")
     assert len(builds) == 1
     assert not (out / "synthetic").exists()
     assert set(summary["stages"]) == {"stage1", "stage2a", "stage2b", "stage3"}

@@ -109,11 +109,6 @@ def test_bad_specs_rejected():
     base = make_base_spec("en", 40)
     with pytest.raises(ConfigError):
         make_derived_spec("xa", base, window=1)
-    with pytest.raises(ConfigError):
-        make_derived_spec("xa", base, donors=[(base, 0.33)])  # not a twentieth
-    aa = make_derived_spec("aa", base)
-    with pytest.raises(ConfigError):
-        make_derived_spec("xa", base, donors=[(aa, 0.6), (aa, 0.6)])
 
 
 # --- base corpus statistics ---
@@ -286,7 +281,10 @@ def test_testsets_and_language_files_that_are_not_objects_rejected(tmp_path):
         load_testsets(bad)
     with pytest.raises(DataError, match="not a munmt-languages document"):
         load_language_specs(bad)
-    for languages, match in ((None, "must be a list"), ([1], "bad language entry")):
+    lexicon_list = {"name": "xa", "base": False, "lexicon": ["en0"], "window": 0,
+                    "prefix": "xa"}
+    for languages, match in ((None, "must be a list"), ([1], "bad language entry"),
+                             ([lexicon_list], r"languages\[0\]\.lexicon must be an object")):
         bad.write_text(json.dumps({"format": "munmt-languages", "version": 1,
                                    "languages": languages}))
         with pytest.raises(DataError, match=match):
@@ -336,6 +334,11 @@ def test_config_violations_rejected(tmp_path):
         small_cfg(tmp_path, targets={"xa": TargetSpec(window=1)}).validate()
     with pytest.raises(ConfigError):
         small_cfg(tmp_path, auxiliaries=[]).validate()
+    with pytest.raises(ConfigError, match="not a multiple of 1/20"):
+        small_cfg(tmp_path, targets={"xa": TargetSpec(cognates={"aa": 0.33})}).validate()
+    with pytest.raises(ConfigError, match="cognate fractions exceed 1"):
+        small_cfg(tmp_path, targets={"xa": TargetSpec(
+            cognates={"aa": 0.6, "ab": 0.6})}).validate()
 
 
 def test_corpus_bounds_rejected(tmp_path):
