@@ -17,8 +17,8 @@ the model geometry. The geometry fixes the payload: `param_shapes` gives
 every parameter's name, shape and place in the flat buffer, so no name or
 shape is stored. A load checks the digest before it trusts any header field,
 and sizes the payload from the geometry before it lays out any parameter.
-Writes go to a temp file in the same directory and are renamed into place,
-so a crash never leaves a partial checkpoint at the target path.
+Writes go through files.write_bytes, so a crash never leaves a partial
+checkpoint at the target path.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import OPTIMIZERS, STAGES, type_problems
+from .config import OPTIMIZERS, STAGES
 from .errors import CheckpointError, ConfigError
+from .files import read_bytes, type_problems, write_bytes
 from .model import ModelConfig, ModelParams, count_params, param_shapes
 from .optim import OptimState
 
@@ -118,31 +118,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     chunks = [PREAMBLE.pack(MAGIC, VERSION, len(blob)), blob]
     chunks += [np.ascontiguousarray(b, dtype="<f4") for b in buffers]
     digest = hashlib.sha256()
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=d)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                digest.update(chunk)
-                fh.write(chunk)
-            fh.write(digest.digest())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    for chunk in chunks:
+        digest.update(chunk)
+    write_bytes(path, *chunks, digest.digest())
 
 
 def load_checkpoint(path, expect_vocab_digest: str | None = None,
                     expect_config_digest: str | None = None) -> Checkpoint:
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            raw = memoryview(fh.read())
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
+    raw = memoryview(read_bytes(path, "checkpoint", CheckpointError))
     if len(raw) < PREAMBLE.size + DIGEST_SIZE:
         raise CheckpointError(f"{path}: truncated checkpoint file ({len(raw)} bytes)")
     magic, version, hlen = PREAMBLE.unpack_from(raw)

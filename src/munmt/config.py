@@ -2,8 +2,8 @@
 
 One top-level seed drives every random stream in a run through named
 sub-seeds, so configs stay small and runs stay reproducible. Validation
-collects every violation before raising, so a bad config is fixed in one
-round trip rather than one error at a time.
+collects every violation before raising: the types, by files.type_problems
+as in every JSON document munmt reads, then the ranges and relations.
 """
 
 from __future__ import annotations
@@ -11,14 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from typing import Literal
 
 from .errors import ConfigError
+from .files import file_digest, read_json, type_problems
 from .synthlang import BenchmarkConfig
-from .tokenizer import file_digest, read_json
 
 SCHEMA_VERSION = 1
 OPTIMIZERS = ("adam", "adamax")
@@ -217,68 +215,6 @@ class ExperimentConfig:
         return self
 
 
-_KINDS = {int: "an int", float: "a finite float", str: "a string", bool: "a bool",
-          dict: "an object", list: "a list"}
-
-
-def type_problems(tp, val, where: str = "", skip=(), complete: bool = False) -> list:
-    """What keeps the JSON value `val` from having the type `tp`, a field
-    annotation, one line per problem naming its dotted path `where`:
-
-    - `int` (a bool is not one), a finite `float` (an int is one), `str`,
-      `bool`, a bare `dict` or `list`, and `X | None`;
-    - `list[T]` and `dict[str, T]`, item by item;
-    - a dataclass, as an object of its fields (other than `skip`), each of
-      its field's type. A key that names no field is a problem, and so is a
-      missing field when `complete` is set, here and in nested dataclasses.
-
-    The config, its benchmark section and checkpoint headers are checked by
-    this alone."""
-    if is_dataclass(tp):
-        if not isinstance(val, dict):
-            return [f"{where} must be an object, got {_json(val)}"]
-        hints = get_type_hints(tp)
-        names = [f.name for f in fields(tp) if f.init and f.name not in skip]
-        bad = [f"unknown key {_join(where, k)}" for k in val if k not in names]
-        for name in names:
-            if name in val:
-                bad += type_problems(hints[name], val[name], _join(where, name),
-                                     complete=complete)
-            elif complete:
-                bad.append(f"{_join(where, name)} is missing")
-        return bad
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is UnionType:  # X | None
-        inner, = (a for a in args if a is not NoneType)
-        return [] if val is None else type_problems(inner, val, where, complete=complete)
-    if not _is_kind(origin or tp, val):
-        return [f"{where} must be {_KINDS[origin or tp]}, got {_json(val)}"]
-    if origin is list:
-        return [p for i, v in enumerate(val)
-                for p in type_problems(args[0], v, f"{where}[{i}]", complete=complete)]
-    if origin is dict:
-        return [p for k, v in val.items()
-                for p in type_problems(args[1], v, _join(where, k), complete=complete)]
-    return []
-
-
-def _is_kind(kind, val) -> bool:
-    if kind is bool or isinstance(val, bool):  # a bool is only a bool
-        return kind is bool and isinstance(val, bool)
-    if kind is float:  # finite: JSON reads NaN, which passes any `< 0` check
-        return isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
-    return isinstance(val, kind)
-
-
-def _json(val) -> str:
-    """`val` as JSON spells it, as the user wrote it (1e400 reads as Infinity)."""
-    return json.dumps(val, default=repr)
-
-
-def _join(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
-
-
 def _build(default, doc: dict):
     """A copy of `default` with the keys `doc` gives replaced. A field whose
     default is a dataclass is built the same way from that default, so a
@@ -294,10 +230,8 @@ def from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = dict(doc)
-    bad = []
     version = doc.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION or type_problems(int, version):
-        bad.append(f"schema_version must be {SCHEMA_VERSION}, got {_json(version)}")
+    bad = type_problems(Literal[SCHEMA_VERSION], version, "schema_version")
     bad += type_problems(ExperimentConfig, doc)
     if bad:
         raise ConfigError(bad)
@@ -370,6 +304,6 @@ def config_digest(cfg: ExperimentConfig) -> str:
     doc = to_dict(cfg)
     for key in DATA_PATH_KEYS:
         if doc[key] is not None:
-            doc[key] = file_digest(doc[key])[:16]
+            doc[key] = file_digest(doc[key], key)[:16]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -8,15 +8,14 @@ sweep using token-bucketed batches.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tokenizer as tok
 from .errors import ConfigError, DataError
-from .tokenizer import read_lines
+from .files import Document, read_json, read_lines, write_json
 
 MANIFEST_FORMAT = "munmt-manifest"
 
@@ -143,40 +142,50 @@ def bucket_batches(ds: Dataset, max_tokens: int = 2000, bucket_width: int = 8):
 # manifest
 
 
-def write_json(path, doc) -> None:
-    """`doc` as JSON, indented, keys sorted, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+@dataclass
+class DatasetEntry:
+    """A dataset as a manifest or an entries file lists it: mono (lang and
+    path) or parallel (src, tgt, src_path and tgt_path)."""
+
+    id: str
+    kind: str
+    lang: str | None = None
+    path: str | None = None
+    src: str | None = None
+    tgt: str | None = None
+    src_path: str | None = None
+    tgt_path: str | None = None
+    synthetic: bool = False
+
+
+@dataclass
+class _LanguageEntry:
+    name: str
+    english: bool = False
+    target: bool = False
+
+
+@dataclass
+class _Manifest(Document):
+    languages: list[_LanguageEntry]
+    datasets: list[DatasetEntry]
 
 
 def load_manifest(path):
     """Parse and check the manifest. Returns (languages, dataset entries),
     each entry's paths resolved against the manifest's directory."""
-    doc = tok.read_json(path, "manifest", MANIFEST_FORMAT)
-    declared, entries = doc.get("languages", []), doc.get("datasets", [])
-    if not isinstance(declared, list) or not isinstance(entries, list):
-        raise DataError(f"manifest {path}: languages and datasets must be lists")
-    problems = []
-    languages = []
-    seen = set()
-    for entry in declared:
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not isinstance(name, str) or not name or name in seen:
-            problems.append(f"bad or duplicate language entry {entry!r}")
-            continue
-        seen.add(name)
-        for key in ("english", "target"):
-            if not isinstance(entry.get(key, False), bool):
-                problems.append(f"language {name}: {key} must be true or false, "
-                                f"got {json.dumps(entry[key])}")
-        languages.append(LanguageId(name, bool(entry.get("english")), bool(entry.get("target"))))
+    doc = read_json(path, "manifest", _Manifest, MANIFEST_FORMAT)
+    declared = doc["languages"]
+    languages = [LanguageId(e["name"], e.get("english", False), e.get("target", False))
+                 for e in declared]
+    problems = [f"bad or duplicate language entry {e!r}" for i, e in enumerate(declared)
+                if not e["name"] or e["name"] in (d["name"] for d in declared[:i])]
     if sum(1 for l in languages if l.is_english) != 1:
         problems.append("manifest must declare exactly one English language")
-    problems += entry_problems(entries, languages)
+    problems += entry_problems(doc["datasets"], languages)
     if problems:
         raise DataError("; ".join(problems))
-    return languages, resolve_paths(entries, path)
+    return languages, resolve_paths(doc["datasets"], path)
 
 
 PATH_KEYS = ("path", "src_path", "tgt_path")
@@ -184,49 +193,32 @@ PATH_KEYS = ("path", "src_path", "tgt_path")
 
 def resolve_paths(entries, listed_in) -> list:
     """Copies of the dataset entries listed in the file `listed_in`, each
-    path joined to that file's directory (an absolute path stays as it is).
-    Anything that is not an entry with a path is passed through for
-    entry_problems to report."""
+    path joined to that file's directory (an absolute path stays as it is)."""
     root = os.path.dirname(os.path.abspath(listed_in))
-    resolved = []
-    for e in entries:
-        if isinstance(e, dict):
-            e = dict(e)
-            for key in PATH_KEYS:
-                if isinstance(e.get(key), str) and e[key]:
-                    e[key] = os.path.join(root, e[key])
-        resolved.append(e)
-    return resolved
-
-
-def _text(entry, key):
-    """entry[key] if the entry is an object and that is a non-empty string."""
-    val = entry.get(key) if isinstance(entry, dict) else None
-    return val if isinstance(val, str) and val else None
+    return [{k: os.path.join(root, v) if k in PATH_KEYS and v else v
+             for k, v in e.items()} for e in entries]
 
 
 def entry_problems(entries, languages, taken=()) -> list:
-    """What is wrong with each dataset entry, wherever it was read from: a
-    missing id or one already used (here or in `taken`), an unknown kind, a
-    language not in `languages`, or a missing path. Ids, languages and paths
-    must be non-empty strings."""
+    """What is wrong with each DatasetEntry, wherever it was read from: an
+    empty id or one already used (here or in `taken`), an unknown kind, a
+    language not in `languages`, or an empty or missing path."""
     names = {l.name for l in languages}
     ids = set(taken)
     problems = []
     for entry in entries:
-        did = _text(entry, "id")
-        if did is None or did in ids:
+        did, kind = entry["id"], entry["kind"]
+        if not did or did in ids:
             problems.append(f"bad or duplicate dataset id {entry!r}")
             continue
         ids.add(did)
-        kind = entry.get("kind")
         if kind == "mono":
-            if _text(entry, "lang") not in names or _text(entry, "path") is None:
+            if entry.get("lang") not in names or not entry.get("path"):
                 problems.append(f"mono dataset {did} needs a known lang and a path")
         elif kind == "parallel":
-            if _text(entry, "src") not in names or _text(entry, "tgt") not in names:
+            if entry.get("src") not in names or entry.get("tgt") not in names:
                 problems.append(f"parallel dataset {did} has unknown languages")
-            if _text(entry, "src_path") is None or _text(entry, "tgt_path") is None:
+            if not entry.get("src_path") or not entry.get("tgt_path"):
                 problems.append(f"parallel dataset {did} needs src_path and tgt_path")
         else:
             problems.append(f"dataset {did} has unknown kind {kind!r}")
@@ -234,18 +226,8 @@ def entry_problems(entries, languages, taken=()) -> list:
 
 
 def save_manifest(path, languages, entries) -> None:
-    doc = {
-        "format": MANIFEST_FORMAT,
-        "version": 1,
-        "languages": [
-            {"name": l.name, "english": l.is_english, "target": l.is_target}
-            for l in languages
-        ],
-        "datasets": entries,
-    }
-    tmp = str(path) + ".tmp"
-    write_json(tmp, doc)
-    os.replace(tmp, path)
+    write_json(path, asdict(_Manifest(MANIFEST_FORMAT, 1, [
+        _LanguageEntry(l.name, l.is_english, l.is_target) for l in languages], entries)))
 
 
 def _encode_kept(vocab: tok.Vocab, line: str, max_pieces: int):
@@ -278,7 +260,7 @@ def load_dataset(entry, vocab: tok.Vocab, max_pieces: int) -> Dataset:
             if si is not None and ti is not None:
                 items.append((si, ti))
         ds = Dataset(entry["id"], "parallel", src=entry["src"], tgt=entry["tgt"],
-                     synthetic=bool(entry.get("synthetic")), items=items)
+                     synthetic=entry.get("synthetic", False), items=items)
     if not ds.items:
         raise DataError(f"dataset {entry['id']} is empty after filtering")
     return ds

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .corpus import pad_block
 from .errors import ConfigError, DataError
+from .files import write_bytes
 from .model import ModelConfig, greedy_decode_batch, strip_body
 from .tokenizer import Vocab, decode as piece_decode, encode_line
 
@@ -186,7 +187,5 @@ def report_as_json(rows) -> str:
 
 
 def write_report(rows, txt_path, json_path) -> None:
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(rows))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report_as_json(rows))
+    write_bytes(txt_path, format_report(rows).encode("utf-8"))
+    write_bytes(json_path, report_as_json(rows).encode("utf-8"))

@@ -20,19 +20,19 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import DATA_PATH_KEYS, STAGES, ExperimentConfig, config_digest, to_dict
-from .corpus import (bucket_batches, build_registry,
-                     choose_dataset, draw_batch, entry_problems, load_dataset,
-                     load_manifest, resolve_paths, write_json)
+from .corpus import (DatasetEntry, bucket_batches, build_registry, choose_dataset,
+                     draw_batch, entry_problems, load_dataset, load_manifest,
+                     resolve_paths)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate_model, translate_corpus, write_report
+from .files import file_digest, read_json, read_lines, read_text, write_json, write_lines
 from .model import ModelConfig, ModelParams, init_params
 from .objectives import (back_translation_loss, cross_entropy_loss,
                          cross_translation_loss, mass_loss)
 from .optim import OptimState, lr_at, optimizer_step
 from .rng import named_rng
 from .synthlang import BenchmarkConfig, build_benchmark, load_testsets
-from .tokenizer import (file_digest, read_json, read_lines, read_text, save_vocab,
-                        train_bpe, write_lines)
+from .tokenizer import save_vocab, train_bpe
 
 ARMS = ("no-synthetic", "single-aux", "bt-only")  # each removes one ingredient
 
@@ -80,11 +80,8 @@ class RunContext:
 
 
 def _english_and_targets(languages):
-    english = [l.name for l in languages if l.is_english]
-    if len(english) != 1:
-        raise DataError(f"expected exactly one English language, got {english}")
-    targets = sorted(l.name for l in languages if l.is_target)
-    return english[0], targets
+    english, = (l.name for l in languages if l.is_english)  # load_manifest checks it
+    return english, sorted(l.name for l in languages if l.is_target)
 
 
 def check_manifest_compat(cfg: ExperimentConfig, languages, entries) -> None:
@@ -159,7 +156,7 @@ def _run_updates(ctx: RunContext, params: ModelParams, opt: OptimState, spec,
     path = os.path.join(ctx.out_dir, f"audit.{label}.tsv")
     kept = _audit_rows(path, start_step)
     t = start_step
-    with open(path, "w", encoding="utf-8") as audit:
+    with open(path, "w", encoding="utf-8") as audit:  # the one stream (see files)
         audit.writelines(kept)
         for ds_id, obj, src_l, tgt_l, loss, lr in updates:
             logged = "skip"
@@ -370,10 +367,7 @@ def stage_entries(ctx: RunContext, label: str) -> list:
         path = entries_path(ctx, n)
         if not os.path.exists(path):
             raise DataError(f"{path} not found: run synth-bt --round {n} first")
-        doc = read_json(path, "entries file")
-        if not isinstance(doc, list):
-            raise DataError(f"{path}: expected a JSON list of dataset entries")
-        entries += resolve_paths(doc, path)
+        entries += resolve_paths(read_json(path, "entries file", list[DatasetEntry]), path)
     return entries
 
 
@@ -601,7 +595,7 @@ def build_context(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     mcfg = ModelConfig(languages=[l.name for l in languages],
                        vocab_size=vocab.size, **asdict(cfg.model)).validate()
     return RunContext(cfg, mcfg, vocab, languages, entries, out_dir,
-                      file_digest(vocab_path), config_digest(cfg), quiet, arm)
+                      file_digest(vocab_path, "vocab"), config_digest(cfg), quiet, arm)
 
 
 def _report(ctx, params, test_sets, label, scores):
@@ -644,7 +638,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     summary = {"stages": scores, "best_dev": ck.meta.get("best_dev"),
                "vocab_digest": ctx.vocab_digest,
                "config_digest": ctx.config_digest,
-               "manifest_digest": file_digest(ctx.cfg.manifest)[:16]}
+               "manifest_digest": file_digest(ctx.cfg.manifest, "manifest")[:16]}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     save_run_meta(out_dir, started)
     return summary

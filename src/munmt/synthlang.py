@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import LanguageId, save_manifest, write_json
+from .corpus import LanguageId, save_manifest
 from .errors import ConfigError, DataError
+from .files import Document, read_json, write_json, write_lines
 from .rng import named_rng
-from .tokenizer import read_json, write_lines
 
 ZIPF_EXPONENT = 1.1
 TAIL_START = 10  # ranks below this never swap; head mass stays exact
@@ -112,8 +112,8 @@ class LanguageSpec:
     name: str
     base: bool
     lexicon: dict[str, str]  # base surface -> this language's surface, bijective
-    window: int = 0  # 0 keeps base order; w >= 2 reverses each w-window
-    prefix: str = ""
+    window: int  # 0 keeps base order; w >= 2 reverses each w-window
+    prefix: str
 
     def validate(self):
         bad = []
@@ -202,23 +202,18 @@ def make_derived_spec(name: str, base: LanguageSpec, window: int = 0,
 
 
 def save_language_specs(path, specs) -> None:
-    write_json(path, {"format": "munmt-languages", "version": 1,
-                      "languages": [asdict(s) for s in specs]})
+    write_json(path, asdict(_LanguageFile("munmt-languages", 1, list(specs))))
+
+
+@dataclass
+class _LanguageFile(Document):
+    languages: list[LanguageSpec]
 
 
 def load_language_specs(path) -> dict:
-    from .config import type_problems  # config imports this module
-    doc = read_json(path, "language file", "munmt-languages")
-    entries = doc.get("languages")
-    if not isinstance(entries, list):
-        raise DataError(f"{path}: languages must be a list")
-    out = {}
-    for i, entry in enumerate(entries):
-        if bad := type_problems(LanguageSpec, entry, f"languages[{i}]", complete=True):
-            raise DataError(f"{path}: bad language entry: " + "; ".join(bad))
-        spec = LanguageSpec(**entry).validate()
-        out[spec.name] = spec
-    return out
+    doc = read_json(path, "language file", _LanguageFile, "munmt-languages")
+    specs = (LanguageSpec(**entry).validate() for entry in doc["languages"])
+    return {spec.name: spec for spec in specs}
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +421,8 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
     for t in sorted(targets):
         directions += [f"{cfg.base_name}-{t}", f"{t}-{cfg.base_name}"]
     testsets_path = os.path.join(cfg.out_dir, "testsets.json")
-    write_json(testsets_path, {"format": "munmt-testsets", "version": 1,
-                               "dev": split_files["dev"], "test": split_files["test"],
-                               "eval_directions": directions})
+    write_json(testsets_path, asdict(_Testsets("munmt-testsets", 1, split_files["dev"],
+                                               split_files["test"], directions)))
 
     langs_path = os.path.join(cfg.out_dir, "languages.json")
     save_language_specs(langs_path, [specs[l] for l in lang_order])
@@ -444,23 +438,26 @@ def build_benchmark(cfg: BenchmarkConfig) -> dict:
     return paths
 
 
+@dataclass
+class _Testsets(Document):
+    dev: dict[str, str]  # language -> file, relative to the testsets file
+    test: dict[str, str]
+    eval_directions: list[str]
+
+
 def load_testsets(path) -> dict:
     """The testsets document, each dev and test file resolved against the
     directory of `path`, each eval direction checked to name two languages
     that both splits map."""
-    doc = read_json(path, "testsets file", "munmt-testsets")
+    doc = read_json(path, "testsets file", _Testsets, "munmt-testsets")
     root = os.path.dirname(os.path.abspath(path))
-    try:
-        for split in ("dev", "test"):
-            doc[split] = {lang: os.path.join(root, p) for lang, p in doc[split].items()}
-    except (KeyError, AttributeError, TypeError):
-        raise DataError(f"{path}: dev and test must map languages to files") from None
-    directions = doc.get("eval_directions")
-    if not isinstance(directions, list) or not directions:
+    for split in ("dev", "test"):
+        doc[split] = {lang: os.path.join(root, p) for lang, p in doc[split].items()}
+    if not doc["eval_directions"]:
         raise DataError(f"{path}: eval_directions must be a non-empty list of "
                         "directions")
-    for d in directions:
-        pair = d.split("-") if isinstance(d, str) else ()
+    for d in doc["eval_directions"]:
+        pair = d.split("-")
         if len(pair) != 2 or not all(l in doc[s] for s in ("dev", "test") for l in pair):
             raise DataError(f"{path}: eval direction {d!r} must name two languages "
                             "that dev and test both map")

@@ -1,15 +1,13 @@
-"""Joint subword vocabulary: greedy BPE over whitespace-marked words.
+"""Joint subword vocabulary: greedy BPE over whitespace-marked words, and
+the vocab file, a line file that munmt.files reads and writes.
 
 Words carry a leading U+2581 marker so detokenization is lossless: pieces
 concatenate back to the marked string and markers become spaces. Training
-is deterministic; ties between equally frequent pairs go to the
-lexicographically smallest pair.
+is deterministic; ties go to the lexicographically smallest pair.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -17,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import read_lines, write_lines
 
 MARKER = "▁"
 
@@ -182,54 +181,7 @@ def decode(vocab: Vocab, ids) -> str:
 
 
 # ---------------------------------------------------------------------------
-# line files and the vocab file format
-
-
-def read_text(path, what: str) -> str:
-    """The UTF-8 text of the file `path`, a `what` such as "audit log". A
-    file that cannot be read, or that is not UTF-8, raises DataError naming
-    it and, for bytes that do not decode, their line."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise DataError(f"{what} {path} line {line} is not UTF-8: "
-                        f"{e.reason}") from None
-
-
-def read_lines(path):
-    """The lines of a UTF-8 text file. Lines break at "\\n" only, and a last
-    line without one still counts, so this reads back what write_lines
-    wrote. A "\\r" stays in its line; normalize drops it before encoding."""
-    lines = read_text(path, "corpus file").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def read_json(path, what: str, fmt: str | None = None, error=DataError):
-    """The JSON document in the file `path`, a `what` such as "manifest".
-    With `fmt`, it must be an object of that format at version 1. A failure
-    raises `error`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise error(f"cannot read {what} {path}: {e}") from None
-    if fmt is not None and not (isinstance(doc, dict) and doc.get("format") == fmt
-                                and doc.get("version") == 1):
-        raise error(f"{path}: not a {fmt} document at version 1")
-    return doc
-
-
-def write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# the vocab file format
 
 
 def save_vocab(vocab: Vocab, path) -> None:
@@ -264,10 +216,10 @@ def load_vocab(path) -> Vocab:
             merges.append((parts[0], parts[1]))
         else:
             parts = line.split("\t")
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise DataError(f"bad vocab line {line!r}")
             piece, pid = parts[0], int(parts[1])
-            if pid < 0 or pid >= size or pieces[pid] is not None:
+            if pid >= size or pieces[pid] is not None:
                 raise DataError(f"bad or duplicate id in vocab line {line!r}")
             pieces[pid] = piece
     if any(p is None for p in pieces):
@@ -276,12 +228,3 @@ def load_vocab(path) -> Vocab:
         raise DataError("vocab file does not start with the special pieces")
     return Vocab(pieces=pieces, merges=merges)
 
-
-def file_digest(path) -> str:
-    """The sha256 of a file's bytes, in hex. A vocabulary is known by all 64
-    digits, a config and a manifest by the first 16."""
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None

@@ -365,6 +365,65 @@ def test_manifest_that_is_no_object_exits_3(tmp_path, capsys):
     assert "not a munmt-manifest document" in capsys.readouterr().err
 
 
+def _edited_benchmark(out, tmp_path, name, edit):
+    """A copy of the chain's benchmark directory with `edit` applied to the
+    JSON document `name`; returns the copy's path."""
+    bench = tmp_path / "bench"
+    shutil.copytree(out / "benchmark", bench)
+    doc = json.loads((bench / name).read_text())
+    edit(doc)
+    (bench / name).write_text(json.dumps(doc))
+    return bench
+
+
+# real xa-en parallel data: only a synthetic flag that is really true admits it
+XA_EN = {"id": "parallel.xa-en", "kind": "parallel", "src": "xa", "tgt": "en",
+         "src_path": "dev.xa.txt", "tgt_path": "dev.en.txt"}
+
+
+@pytest.mark.parametrize("edit, said", [
+    (lambda doc: doc["datasets"].append(dict(XA_EN, synthetic="false")),
+     'datasets[6].synthetic must be a bool, got "false"'),
+    (lambda doc: doc["datasets"].append(dict(XA_EN, synthtic=True)),
+     "unknown key datasets[6].synthtic"),
+    (lambda doc: doc.update(version=True), "version must be 1, got true"),
+], ids=["string-synthetic", "misspelt-synthetic", "bool-version"])
+def test_mistyped_manifest_exits_3(chain, tmp_path, capsys, edit, said):
+    root, cfg_path, out, _, _ = chain
+    bench = _edited_benchmark(out, tmp_path, "manifest.json", edit)
+    assert main(["train-vocab", "--config", str(cfg_path), "--quiet",
+                 "--out", str(tmp_path / "run"),
+                 "--override", f"manifest={bench / 'manifest.json'}"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and said in err
+
+
+def test_testsets_at_version_true_exits_3(chain, tmp_path, capsys):
+    root, cfg_path, out, _, _ = chain
+    bench = _edited_benchmark(out, tmp_path, "testsets.json",
+                              lambda doc: doc.update(version=True))
+    assert main(["evaluate", "--config", str(cfg_path), "--quiet",
+                 "--out", str(tmp_path / "run"), "--from", str(out / "stage3.ckpt"),
+                 "--override", f"manifest={bench / 'manifest.json'}",
+                 "--override", f"testsets={bench / 'testsets.json'}"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "version must be 1, got true" in err
+
+
+def test_string_synthetic_flag_in_entries_file_exits_3(chain, tmp_path, capsys):
+    root, cfg_path, out, _, _ = chain
+    run = tmp_path / "run"
+    (run / "synthetic").mkdir(parents=True)
+    shutil.copy(out / "stage1.ckpt", run / "stage1.ckpt")
+    entries = json.loads((out / "synthetic" / "r1.entries.json").read_text())
+    entries[0]["synthetic"] = "true"
+    (run / "synthetic" / "r1.entries.json").write_text(json.dumps(entries))
+    assert main(["stage2", "--round", "a", "--config", str(cfg_path),
+                 "--out", str(run), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and '[0].synthetic must be a bool, got "true"' in err
+
+
 def test_out_dir_collision_exits_5(tmp_path):
     blocked = tmp_path / "file"
     blocked.write_text("x")

@@ -272,26 +272,35 @@ PARALLEL = {"id": "p1", "kind": "parallel", "src": "en", "tgt": "en", "src_path"
 
 @pytest.mark.parametrize("doc, match", [
     ([], "not a munmt-manifest document"),
-    ({"languages": [1]}, "bad or duplicate language entry"),
-    ({"languages": [{"name": ["en"]}]}, "bad or duplicate language entry"),
-    ({"datasets": {"d1": {}}}, "must be lists"),
-    ({"datasets": [dict(MONO, id=["d1"])]}, "bad or duplicate dataset id"),
-    ({"datasets": [dict(MONO, lang=["en"])]}, "needs a known lang and a path"),
-    ({"datasets": [dict(MONO, path=7)]}, "needs a known lang and a path"),
-    ({"datasets": [dict(PARALLEL, src={"en": 1})]}, "has unknown languages"),
-    ({"datasets": [dict(PARALLEL, tgt_path=True)]}, "needs src_path and tgt_path"),
+    ({"languages": [1]}, r"languages\[0\] must be an object, got 1"),
+    ({"languages": [{"name": ["en"]}]}, r'languages\[0\]\.name must be a string, got \["en"\]'),
+    ({"datasets": {"d1": {}}}, "datasets must be a list"),
+    ({"datasets": [dict(MONO, id=["d1"])]}, r"datasets\[0\]\.id must be a string"),
+    ({"datasets": [dict(MONO, lang=["en"])]}, r"datasets\[0\]\.lang must be a string"),
+    ({"datasets": [dict(MONO, path=7)]}, r"datasets\[0\]\.path must be a string, got 7"),
+    ({"datasets": [dict(PARALLEL, src={"en": 1})]}, r"datasets\[0\]\.src must be a string"),
+    ({"datasets": [dict(PARALLEL, tgt_path=True)]},
+     r"datasets\[0\]\.tgt_path must be a string, got true"),
     ({"languages": [{"name": "en", "english": "no"}]},
-     'language en: english must be true or false, got "no"'),
+     r'languages\[0\]\.english must be a bool, got "no"'),
     ({"languages": [{"name": "en", "english": True, "target": "false"}]},
-     'language en: target must be true or false, got "false"'),
-    ({"languages": [{"name": "en", "english": None}]}, "english must be true or false"),
+     r'languages\[0\]\.target must be a bool, got "false"'),
+    ({"languages": [{"name": "en", "english": None}]},
+     r"languages\[0\]\.english must be a bool, got null"),
+    ({"datasets": [dict(PARALLEL, synthetic="false")]},
+     r'datasets\[0\]\.synthetic must be a bool, got "false"'),
+    ({"datasets": [dict(PARALLEL, synthtic=True)]}, r"unknown key datasets\[0\]\.synthtic"),
+    ({"version": True}, "version must be 1, got true"),
+    ({"languages": [{"name": "en", "english": True}, {"name": "en"}]},
+     "bad or duplicate language entry"),
 ], ids=["list-root", "number-language", "list-name", "dict-datasets", "list-id", "list-lang",
         "int-path", "dict-src", "bool-path", "string-english", "string-target",
-        "null-english"])
+        "null-english", "string-synthetic", "misspelt-synthetic", "bool-version",
+        "duplicate-language"])
 def test_manifest_parts_that_are_not_objects_rejected(tmp_path, doc, match):
     if isinstance(doc, dict):
         doc = {"format": "munmt-manifest", "version": 1,
-               "languages": [{"name": "en", "english": True}], **doc}
+               "languages": [{"name": "en", "english": True}], "datasets": [], **doc}
     p = tmp_path / "m.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match=match):

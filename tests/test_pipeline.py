@@ -297,7 +297,10 @@ def test_unreadable_entries_files_are_data_errors(env, tmp_path):
         pipeline.stage_entries(ctx, "stage2a")
     (tmp_path / "synthetic").mkdir()
     entries = tmp_path / "synthetic" / "r1.entries.json"
-    for text, match in (("{}", "expected a JSON list"), ("[", "cannot read entries file")):
+    for text, match in (("{}", "the document must be a list, got {}"),
+                        ("[", "cannot read entries file"),
+                        ('[{"id": "s", "kind": "mono", "synthetic": "true"}]',
+                         r'\[0\]\.synthetic must be a bool, got "true"')):
         entries.write_text(text)
         with pytest.raises(DataError, match=match):
             pipeline.stage_entries(ctx, "stage2a")

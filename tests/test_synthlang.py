@@ -283,12 +283,24 @@ def test_testsets_and_language_files_that_are_not_objects_rejected(tmp_path):
         load_language_specs(bad)
     lexicon_list = {"name": "xa", "base": False, "lexicon": ["en0"], "window": 0,
                     "prefix": "xa"}
-    for languages, match in ((None, "must be a list"), ([1], "bad language entry"),
+    for languages, match in ((None, "languages must be a list, got null"),
+                             ([1], r"languages\[0\] must be an object, got 1"),
                              ([lexicon_list], r"languages\[0\]\.lexicon must be an object")):
         bad.write_text(json.dumps({"format": "munmt-languages", "version": 1,
                                    "languages": languages}))
         with pytest.raises(DataError, match=match):
             load_language_specs(bad)
+
+
+def test_language_file_at_version_true_rejected(bench, tmp_path):
+    _, paths = bench
+    with open(paths["languages"]) as fh:
+        doc = json.load(fh)
+    assert set(load_language_specs(paths["languages"])) == {l["name"] for l in doc["languages"]}
+    bad = tmp_path / "languages.json"
+    bad.write_text(json.dumps(dict(doc, version=True)))
+    with pytest.raises(DataError, match="version must be 1, got true"):
+        load_language_specs(bad)
 
 
 def test_benchmark_deterministic(tmp_path):

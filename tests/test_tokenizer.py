@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from munmt.errors import ConfigError, DataError
+from munmt.files import file_digest, read_lines, write_lines
 from munmt.tokenizer import (
     BOS,
     EOS,
@@ -19,13 +20,10 @@ from munmt.tokenizer import (
     UNK,
     decode,
     encode_line,
-    file_digest,
     load_vocab,
     normalize,
-    read_lines,
     save_vocab,
     train_bpe,
-    write_lines,
 )
 
 
@@ -184,13 +182,13 @@ def test_vocab_file_roundtrip(tmp_path):
     assert w.merges == v.merges
     text = "the river run"
     assert encode_line(w, text).tolist() == encode_line(v, text).tolist()
-    assert isinstance(file_digest(p), str) and len(file_digest(p)) == 64
+    assert isinstance(file_digest(p, "vocab"), str) and len(file_digest(p, "vocab")) == 64
 
 
 def test_unreadable_file_digest_is_a_data_error(tmp_path):
     missing = tmp_path / "vocab.txt"
     with pytest.raises(DataError, match=re.escape(str(missing))):
-        file_digest(missing)
+        file_digest(missing, "vocab")
 
 
 def test_vocab_file_corruption_detected(tmp_path):
@@ -207,6 +205,11 @@ def test_vocab_file_corruption_detected(tmp_path):
     bad2.write_text("\n".join([lines[0]] + lines[2:]), encoding="utf-8")
     with pytest.raises(DataError):
         load_vocab(bad2)
+    # an id that is not a number
+    bad3 = tmp_path / "bad3.txt"
+    bad3.write_text("\n".join([lines[0], "<pad>\tx"] + lines[2:]), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape("bad vocab line '<pad>\\tx'")):
+        load_vocab(bad3)
 
 
 # every character str.splitlines breaks at, apart from "\n" itself
