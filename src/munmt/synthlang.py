@@ -33,6 +33,7 @@ from .rng import named_rng
 
 ZIPF_EXPONENT = 1.1
 TAIL_START = 10  # ranks below this never swap; head mass stays exact
+CHUNK_LINES = 4096  # base sentences per chunk of the benchmark's stream
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +71,52 @@ def _context_swaps(prev2: int, prev1: int, rank: int) -> bool:
 
 def gen_rank_lines(spec: CorpusSpec) -> list:
     """Sentences as lists of word-type ranks. Deterministic given `spec`,
-    whose bounds BenchmarkConfig.validate checks."""
-    rng = named_rng(spec.seed, f"synthlang:{spec.label}")
-    cdf = np.cumsum(zipf_probs(spec.vocab_types))
-    partners = [_swap_partner(r, spec.vocab_types) for r in range(spec.vocab_types)]
-    out = []
+    whose bounds BenchmarkConfig.validate checks.
+
+    Makes exactly the draws of a per-line `rng.integers(len_min, len_max + 1)`
+    then `rng.random(n)`, taken from one block of PCG64 words: a length is
+    numpy's Lemire draw on 32-bit halves (low half first, the high half kept
+    for the next length), a uniform is `(word >> 11) * 2**-53`."""
+    bits = named_rng(spec.seed, f"synthlang:{spec.label}").bit_generator
+    words = bits.random_raw(spec.lines * (spec.len_max + 1))
+    span = spec.len_max - spec.len_min
+    reject_below = (0xFFFFFFFF - span) % (span + 1)
+    starts, lengths, pos, half = [], [], 0, None
     for _ in range(spec.lines):
-        n = int(rng.integers(spec.len_min, spec.len_max + 1))
-        draws = np.searchsorted(cdf, rng.random(n), side="right").tolist()
-        prev2, prev1 = spec.vocab_types + 1, spec.vocab_types + 2
-        sent = []
-        for r in draws:
-            r = min(r, spec.vocab_types - 1)
-            partner = partners[r]
-            if partner != r and _context_swaps(prev2, prev1, min(r, partner)):
-                r = partner
-            sent.append(r)
-            prev2, prev1 = prev1, r
-        out.append(sent)
-    return out
+        n = spec.len_min
+        while span:
+            if half is None:
+                # a word's halves serve at most two lines: draw on if the
+                # block may not hold theirs (Lemire rejections, few lines)
+                if len(words) < pos + 1 + 2 * spec.len_max:
+                    words = np.concatenate([words, bits.random_raw(
+                        pos + 1 + 2 * spec.len_max - len(words))])
+                word = int(words[pos])
+                x, half = word & 0xFFFFFFFF, word >> 32
+                pos += 1
+            else:
+                x, half = half, None
+            m = x * (span + 1)
+            if m & 0xFFFFFFFF >= reject_below:
+                n += m >> 32
+                break
+        starts.append(pos)
+        lengths.append(n)
+        pos += n
+    uniforms = (words >> np.uint64(11)) * 2.0 ** -53
+    cols = np.minimum(np.array(starts, dtype=np.int64)[:, None] + np.arange(spec.len_max),
+                      pos - 1)  # pad past each line's end with any drawn word
+    cdf = np.cumsum(zipf_probs(spec.vocab_types))
+    ranks = np.minimum(np.searchsorted(cdf, uniforms[cols], side="right"),
+                       spec.vocab_types - 1)
+    partners = np.array([_swap_partner(r, spec.vocab_types) for r in range(spec.vocab_types)])
+    prev2, prev1 = spec.vocab_types + 1, spec.vocab_types + 2
+    for j in range(spec.len_max):
+        r, partner = ranks[:, j], partners[ranks[:, j]]
+        swaps = (partner != r) & _context_swaps(prev2, prev1, np.minimum(r, partner))
+        ranks[:, j] = np.where(swaps, partner, r)
+        prev2, prev1 = prev1, ranks[:, j]
+    return [row[:n] for row, n in zip(ranks.tolist(), lengths)]
 
 
 def base_surfaces(prefix: str, vocab_types: int) -> list:
@@ -212,8 +240,12 @@ class _LanguageFile(Document):
 
 def load_language_specs(path) -> dict:
     doc = read_json(path, "language file", _LanguageFile, "munmt-languages")
-    specs = (LanguageSpec(**entry).validate() for entry in doc["languages"])
-    return {spec.name: spec for spec in specs}
+    specs = {}
+    for entry in doc["languages"]:
+        if entry["name"] in specs:
+            raise DataError(f"{path}: language {entry['name']!r} is listed twice")
+        specs[entry["name"]] = LanguageSpec(**entry).validate()
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +358,24 @@ class _BaseStream:
 
     def take(self, n: int, reject=None) -> list:
         out = []
-        stall = 0
+        stale = 0  # chunks drawn since the last unseen line
         while len(out) < n:
             if not self.buf:
+                stale += 1
+                if stale > 200:
+                    raise DataError("base sentence space too small for the "
+                                    "requested corpus sizes")
                 spec = CorpusSpec(self.cfg.vocab_types, self.cfg.len_min,
-                                  self.cfg.len_max, 4096, self.cfg.seed,
+                                  self.cfg.len_max, CHUNK_LINES, self.cfg.seed,
                                   label=f"bench:{self.chunk}")
                 self.buf = deque(gen_base_corpus(
                     spec, base_surfaces(self.cfg.base_name, self.cfg.vocab_types)))
                 self.chunk += 1
-                stall += 1
-                if stall > 200:
-                    raise DataError("base sentence space too small for the "
-                                    "requested corpus sizes")
             line = self.buf.popleft()
             if line in self.seen:
                 continue
             self.seen.add(line)
+            stale = 0
             if reject is not None and reject(line):
                 continue
             out.append(line)

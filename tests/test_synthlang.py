@@ -1,12 +1,19 @@
-"""Toy language generator: oracle exactness, Zipf shape, benchmark layout."""
+"""Toy language generator: oracle exactness, Zipf shape, the whole-chunk
+generator against its per-line reference, benchmark layout and pinned bytes."""
 
+import dataclasses
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_line
+from munmt import synthlang
+from munmt.config import load_config
 from munmt.corpus import build_registry, load_manifest
 from munmt.errors import ConfigError, DataError
 from munmt.synthlang import (
@@ -22,11 +29,16 @@ from munmt.synthlang import (
     make_base_spec,
     make_derived_spec,
     oracle_translate,
+    save_language_specs,
     to_base,
     window_reverse,
     zipf_probs,
 )
+from munmt.pipeline import generate_benchmark
 from munmt.tokenizer import train_bpe
+
+TOY_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "toy.json")
 
 
 # --- window reversal ---
@@ -123,6 +135,49 @@ def test_base_corpus_deterministic_and_in_range():
         assert 3 <= len(line.split()) <= 7
     c = gen_base_corpus(CorpusSpec(30, 3, 7, 200, seed=6))
     assert c != a
+
+
+@pytest.mark.parametrize("vocab_types,len_min,len_max", [
+    (50, 4, 9), (51, 4, 9), (12, 2, 2), (13, 1, 3), (50, 1, 1), (1000, 3, 40)])
+def test_chunk_generator_matches_per_line_reference(vocab_types, len_min, len_max):
+    """The whole-chunk generator makes the per-line draws: a numpy change to
+    PCG64's half-word buffering or to `integers`' Lemire method fails here."""
+    for seed in range(10):
+        spec = CorpusSpec(vocab_types, len_min, len_max, 4096, seed, label=f"bench:{seed}")
+        assert gen_rank_lines(spec) == per_line.gen_rank_lines(spec)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_whose_first_word_is_zero(h: int):
+    """PCG64 steps its 128-bit state, then outputs rotr(high ^ low, high >> 122):
+    a stepped state whose halves are equal outputs 0."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    inc = gen.bit_generator.state["state"]["inc"]
+    stepped = (h << 64) | h
+    state = (stepped - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+    return gen
+
+
+@pytest.mark.parametrize("lines", [1, 3])
+def test_chunk_generator_follows_a_lemire_rejection(monkeypatch, lines):
+    """A zero first word makes `integers(1, 4)` reject both of its halves
+    (3 * 0 leaves 0, under the threshold 2**32 % 3 = 1) and read the next
+    word. At one line of length 3 the draws take five words, past the block
+    of len_max + 1."""
+    h = next(h for h in range(100)
+             if _generator_whose_first_word_is_zero(h).integers(1, 4) == 3)
+    assert _generator_whose_first_word_is_zero(h).bit_generator.random_raw() == 0
+    for module in (synthlang, per_line):
+        monkeypatch.setattr(module, "named_rng",
+                            lambda seed, name: _generator_whose_first_word_is_zero(h))
+    spec = CorpusSpec(50, 1, 3, lines, seed=0)
+    ranks = gen_rank_lines(spec)
+    assert len(ranks[0]) == 3
+    assert ranks == per_line.gen_rank_lines(spec)
 
 
 def zipf_ks_distance(counts) -> float:
@@ -303,6 +358,50 @@ def test_language_file_at_version_true_rejected(bench, tmp_path):
         load_language_specs(bad)
 
 
+# sha256 of each file `configs/toy.json`'s benchmark section writes at seed 0
+TOY_BENCHMARK_SHA256 = {
+    "benchmark.json": "ef940c6399e60270da813ed34f6c4d101edb272016fc42ccbdff5adf51a45af4",
+    "dev.aa.txt": "8afc7c20465674b1f08874ad0ca1c022e7fafe6d6cedb32af69b3ea68df9dbaa",
+    "dev.ab.txt": "b14a5682f30fc287de84b5fdc751ab5b5c2a01c82312356113697f6d0a6ad046",
+    "dev.en.txt": "4813ef743beb96389ce540d9869f39c416ea76ab4d8484aed3f7fe6ce173d193",
+    "dev.xa.txt": "1603b7a35c137b47023c10a35e678ec6b82bd43460183633216a32bbcde6ed12",
+    "languages.json": "92f5cd6b01f56feeb259a0b1e46d9873ff7c4523fd9f7ae83b6dd0aecb7d1358",
+    "manifest.json": "2caad3b4e5cd58bd6d19ffa43fd945e38a7b5adc727f0d8757e13d4d793c419a",
+    "mono.aa.txt": "adadf222043f9de151560224a2a848cd015fb6783b4c45178dacc6dc730c8030",
+    "mono.ab.txt": "b1dd2f72ebf5495ec4dbf91afec0b15aa8ebdc069cf1c8de9c8e4afabe063e69",
+    "mono.en.txt": "8e8f719195173c8a0b156e6063788c0d5c62520d65dcab760c0983a34c721c61",
+    "mono.xa.txt": "fd6763bb42d310f8893b1d51b3902dbb05ceda1fb94cadb0e88a7a7ffb311529",
+    "parallel.aa-en.aa.txt": "8a11511fd837034ce354dbf8e656c870a64383cb77cd1ed2fb99cc122febacd4",
+    "parallel.aa-en.en.txt": "2870ae17d56adee8038184692bc044a3ca10e8a57e4a792f74ced3053fd617f0",
+    "parallel.ab-en.ab.txt": "5edd5089176a2e9dc4606da701dbfd56ae43de7c6003ff44e9c15e4ac255550d",
+    "parallel.ab-en.en.txt": "83caac486a4be48b17c0a25a4ba0daa6535ffdd296a47b08b75c52fee9e21a9c",
+    "test.aa.txt": "28e02837b6e24b479f7af6e7547d13c99c96cf7057273278602e0212fb789b5c",
+    "test.ab.txt": "32de78a0ea15877dfb448dc8c1a9b02651006ace121c198a91c9ca5e3e9a6fb7",
+    "test.en.txt": "94095c24608679e5d1607181c52eda13c8845c5732cda89a1109fce616c765f4",
+    "test.xa.txt": "fe1d4dd84d0179c2e23facaf9ee977e19109f14d411052d7ad386fe8fe9d333b",
+    "testsets.json": "7eafca978208e4e9bc77987010e2f774b9cbdca428ac3752b47f22b8295b8110",
+}
+
+
+def test_toy_benchmark_bytes_are_pinned(tmp_path):
+    generate_benchmark(load_config(TOY_CONFIG), tmp_path)
+    root = tmp_path / "benchmark"
+    written = {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(root))}
+    assert written == TOY_BENCHMARK_SHA256
+
+
+def test_stream_refuses_only_chunks_that_add_nothing(tmp_path, monkeypatch):
+    # 1,000 lines in one take need over 200 chunks of 4 lines, each adding some
+    monkeypatch.setattr(synthlang, "CHUNK_LINES", 4)
+    paths = build_benchmark(small_cfg(tmp_path / "many", mono_lines=1000))
+    assert len(open(paths["mono.en.txt"]).read().splitlines()) == 1000
+    # a 12-sentence space (12 types, one word a line) cannot give 13 lines
+    with pytest.raises(DataError, match="base sentence space too small"):
+        build_benchmark(small_cfg(tmp_path / "few", vocab_types=12, len_min=1,
+                                  len_max=1, mono_lines=13))
+
+
 def test_benchmark_deterministic(tmp_path):
     p1 = build_benchmark(small_cfg(tmp_path / "one"))
     p2 = build_benchmark(small_cfg(tmp_path / "two"))
@@ -372,3 +471,13 @@ def test_targets_accept_plain_dicts(tmp_path):
     assert specs["xa"].window == 3
     blob = json.load(open(paths["benchmark"]))
     assert blob["targets"]["xa"]["window"] == 3
+
+
+def test_repeated_language_name_refused(bench, tmp_path):
+    _, paths = bench
+    specs = load_language_specs(paths["languages"])
+    listed = [specs["en"], specs["aa"], specs["ab"], specs["xa"]]
+    bad = tmp_path / "languages.json"
+    save_language_specs(bad, listed + [dataclasses.replace(specs["ab"], name="aa")])
+    with pytest.raises(DataError, match="language 'aa' is listed twice"):
+        load_language_specs(bad)
